@@ -22,7 +22,9 @@ ArcIndex owns the dual-dependent view used by one pricing call: arc reduced
 costs, the per-(u, visited-memory) successor buckets consumed by the search,
 and the lazily cached groups keyed by (u, v, M1, M2, demand).  Growing a
 customer's ng set invalidates exactly the cached entries that start or end
-at that customer.
+at that customer.  The index also interns the (customer, memory) labels that
+the search uses as distance rows, and each bucket caches, per remaining
+capacity, the window of grown-ng entries that fit it.
 """
 
 from __future__ import annotations
@@ -76,7 +78,6 @@ class ComponentPathTable:
         self._start: dict[tuple[int, int, int], tuple[float, int | None]] = {}
         self.subsets: dict[int, list[int]] = {}
         self._arc_v: dict[int, np.ndarray] = {}
-        self._arc_vbit: dict[int, np.ndarray | None] = {}
         self._arc_mask64: dict[int, np.ndarray | None] = {}
         self._arc_subset: dict[int, np.ndarray] = {}
         self._arc_zd: dict[int, np.ndarray] = {}
@@ -253,16 +254,8 @@ class ComponentPathTable:
             if use64:
                 sub64 = np.array(subsets, dtype=np.uint64)
                 self._arc_mask64[u] = np.repeat(sub64, T)[perm]
-                shift = np.maximum(t_ids.astype(np.int64) - 1, 0)
-                vb = np.where(
-                    t_ids == _SINK,
-                    np.int64(0),
-                    np.left_shift(np.int64(1), shift),
-                ).astype(np.uint64)
-                self._arc_vbit[u] = np.tile(vb, n_sub)[perm]
             else:
                 self._arc_mask64[u] = None
-                self._arc_vbit[u] = None
             nbrs = self.sets.la(u)
             ind = np.zeros((n_sub, max(1, len(nbrs))))
             for s_idx, mask in enumerate(subsets):
@@ -363,31 +356,107 @@ def compute_component_paths(inst: Instance, sets: NeighborSets,
 # ---------------------------------------------------------------------------
 
 
+# Windows with fewer grown-ng entries than this are searched by a scalar
+# loop over the bucket's tuples: a batched pass costs about twenty numpy
+# calls per node, more than a few entries cost in Python.  la0 windows
+# average ~7 entries per node and la10 windows ~70; batching every window
+# made la0 pricing ~25% slower on instance 105/30/20 (demands 1..10).
+BATCH_MIN = 16
+
+
 class _Group:
-    """Minimum reduced cost per (carried memory, demand) toward one target."""
+    """Minimum reduced cost per (carried memory, demand) toward one target.
 
-    __slots__ = ("m2s", "zds", "costs", "caps", "min_cost")
+    `rows` holds the same entries laid out for the search, one tuple each:
+    (lo, hi, v, label, v * stride - zd, label * stride - zd, -zd, cost,
+    group minimum) with stride = d0 + 1.  An entry fits remaining capacity d
+    iff lo <= d <= hi, that is when the landing capacity d - zd covers v's
+    demand and stays under the carried memory's capacity ceiling; adding d
+    to the two stride terms gives the flat (v, d2) and (label, d2) indices.
+    """
 
-    def __init__(self, m2s, zds, costs, caps, min_cost):
+    __slots__ = ("m2s", "zds", "costs", "caps", "min_cost", "rows", "_columns")
+
+    def __init__(self, m2s, zds, costs, caps, min_cost, rows):
         self.m2s = m2s        # carried-memory masks
         self.zds = zds        # arc demands
         self.costs = costs    # group-minimum reduced costs
         self.caps = caps      # capacity ceiling of the reached node
         self.min_cost = min_cost
+        self.rows = rows
+        self._columns = None
+
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Non-empty `rows` as an int block (7, k) and a float block (2, k)."""
+        if self._columns is None:
+            fields = list(zip(*self.rows))
+            self._columns = (np.array(fields[:7], dtype=np.int64),
+                             np.array(fields[7:], dtype=float))
+        return self._columns
 
 
 class _Bucket:
     """Successor view from pricing nodes (u, M1, *): dense weights for
     targets with empty ng sets, per-(M2, demand) groups for the rest, and a
-    prefix-minimum over sink arcs indexed by remaining capacity."""
+    prefix-minimum over sink arcs indexed by remaining capacity.  The group
+    entries are also cached per remaining capacity as search windows."""
 
-    __slots__ = ("dense", "dirty", "sink_pref", "pending")
+    __slots__ = ("dense", "dirty", "sink_pref", "pending", "_rows", "_columns", "_windows")
 
     def __init__(self, dense, dirty, sink_pref):
         self.dense = dense          # (n+1, d0+1) min reduced cost, +inf if none
         self.dirty = dirty          # v -> _Group
         self.sink_pref = sink_pref  # d -> min reduced cost over sink arcs zd<=d
         self.pending: set[int] = set()  # targets whose groups need a rebuild
+        self.drop_windows()
+
+    def drop_windows(self) -> None:
+        self._rows = None      # every dirty entry as a _Group.rows tuple
+        self._columns = None   # the same, lo-sorted, as arrays
+        self._windows: dict[int, tuple] = {}  # d -> window(d)
+
+    def window(self, d: int) -> tuple:
+        """Grown-ng entries from nodes (u, M1, d), as (rows, columns).
+
+        One of the two is None.  `rows` lists every entry of the bucket as
+        _Group.rows tuples, and the caller skips those outside lo <= d <=
+        hi.  `columns` holds, for exactly the entries that fit d, arrays
+        for the tuple fields from v on: (v, label, v * stride - zd, label *
+        stride - zd, -zd, cost, group minimum).
+
+        Columns come only when at least BATCH_MIN entries fit d and the
+        bucket was already searched since its groups last changed: sorting
+        the entries into columns pays off only for a bucket searched again.
+        """
+        rows = self._rows
+        if rows is None:
+            self._rows = [row for grp in self.dirty.values() for row in grp.rows]
+            return self._rows, None
+        if len(rows) < BATCH_MIN:
+            return rows, None
+        got = self._windows.get(d)
+        if got is None:
+            if self._columns is None:
+                self._columns = self._gather()
+            cols, ends, hi_min = self._columns
+            k = ends[d]  # entries are lo-sorted: those with lo <= d lead
+            cols = [c[:k] for c in cols]
+            if k and hi_min[k - 1] < d:  # a memory's capacity ceiling binds
+                sel = (cols[1] >= d).nonzero()[0]
+                cols = [c[sel] for c in cols]
+            got = (rows, None) if len(cols[0]) < BATCH_MIN else (None, cols[2:])
+            self._windows[d] = got
+        return got
+
+    def _gather(self):
+        blocks = [grp.columns() for grp in self.dirty.values() if grp.rows]
+        ints = np.concatenate([b[0] for b in blocks], axis=1)
+        order = np.argsort(ints[0])
+        ints = ints.take(order, axis=1)
+        floats = np.concatenate([b[1] for b in blocks], axis=1).take(order, axis=1)
+        ends = np.searchsorted(ints[0], np.arange(self.dense.shape[1]), side="right")
+        hi_min = np.minimum.accumulate(ints[1])
+        return [*ints, *floats], ends.tolist(), hi_min.tolist()
 
 
 class ArcIndex:
@@ -412,6 +481,22 @@ class ArcIndex:
         # la(u) (arc filtering) and with ng(v) (carried memory)
         self._groups: dict[tuple[int, int, int, int], dict] = {}
         self._cores: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._reset_labels()
+
+    # -- labels --------------------------------------------------------------
+
+    def _reset_labels(self) -> None:
+        """Label ids of (customer, carried memory) pairs; (v, 0) is id v."""
+        self.label_keys: list[tuple[int, int]] = [(v, 0) for v in range(self.inst.n + 1)]
+        self._label_ids = {key: i for i, key in enumerate(self.label_keys)}
+
+    def _label(self, v: int, m2: int) -> int:
+        got = self._label_ids.get((v, m2))
+        if got is None:
+            got = len(self.label_keys)
+            self.label_keys.append((v, m2))
+            self._label_ids[(v, m2)] = got
+        return got
 
     # -- duals -------------------------------------------------------------
 
@@ -450,6 +535,7 @@ class ArcIndex:
         self._buckets.clear()
         self._groups.clear()
         self._cores.clear()
+        self._reset_labels()
 
     @property
     def duals(self):
@@ -473,6 +559,7 @@ class ArcIndex:
             for v in sorted(got.pending):
                 self._group_dirty(u, m1, v, got.dirty)
             got.pending.clear()
+            got.drop_windows()
         return got
 
     def _dirty_for(self, u: int, m1: int) -> list[int]:
@@ -557,7 +644,7 @@ class ArcIndex:
                 keep = (masks_v & np.uint64(m1)) == 0
                 masks_v, cbar_v, zd_v = masks_v[keep], cbar_v[keep], zd_v[keep]
             if len(cbar_v) == 0:
-                dirty[v] = _Group([], [], [], [], np.inf)
+                dirty[v] = self._make_group(v, [], [], [])
                 return
             m2s = (np.uint64(ng_v) & (masks_v | fixed)).astype(np.int64)
             # group-minimum over (m2, zd) without python loops
@@ -568,15 +655,8 @@ class ArcIndex:
                     ([True], (m2o[1:] != m2o[:-1]) | (zdo[1:] != zdo[:-1]))
                 )
             )
-            d0 = self.d0
-            md = self.table.mask_demand
-            m2_list = m2o[firsts].tolist()
-            group = _Group(
-                m2_list,
-                zdo[firsts].tolist(),
-                cbo[firsts].tolist(),
-                [d0 - md(m) for m in m2_list],
-                float(cbo.min()),
+            group = self._make_group(
+                v, m2o[firsts].tolist(), zdo[firsts].tolist(), cbo[firsts].tolist()
             )
             self._groups[gkey] = group
             dirty[v] = group
@@ -595,17 +675,24 @@ class ArcIndex:
             k = (ng_v & (m | fixed), zd)
             if c < best.get(k, inf):
                 best[k] = c
-        d0 = self.d0
-        md = self.table.mask_demand
-        group = _Group(
-            [k[0] for k in best],
-            [k[1] for k in best],
-            list(best.values()),
-            [d0 - md(k[0]) for k in best],
-            min(best.values()) if best else np.inf,
+        group = self._make_group(
+            v, [k[0] for k in best], [k[1] for k in best], list(best.values())
         )
         self._groups[gkey] = group
         dirty[v] = group
+
+    def _make_group(self, v: int, m2s: list, zds: list, costs: list) -> _Group:
+        md = self.table.mask_demand
+        caps = [self.d0 - md(m) for m in m2s]
+        min_cost = min(costs) if costs else np.inf
+        dv = self.inst.demand[v]
+        stride = self.d0 + 1
+        rows = []
+        for m2, zd, cap, w in zip(m2s, zds, caps, costs):
+            lab = self._label(v, m2)
+            rows.append((zd + dv, zd + cap, v, lab, v * stride - zd, lab * stride - zd,
+                         -zd, w, min_cost))
+        return _Group(m2s, zds, costs, caps, min_cost, rows)
 
     def invalidate(self, grown, added: int | None = None) -> None:
         """Drop cached entries whose start or end customer had its ng set grown.
@@ -635,6 +722,7 @@ class ArcIndex:
                 bucket.dense[v, :] = np.inf
                 bucket.dirty.pop(v, None)
                 bucket.pending.add(v)
+                bucket.drop_windows()
 
     # -- decode helpers ------------------------------------------------------
 

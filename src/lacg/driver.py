@@ -87,7 +87,7 @@ class CgTrace:
 
 @dataclass
 class CgResult:
-    status: str  # optimal | time_limit | stalled
+    status: str  # optimal | time_limit | max_iterations | stalled
     objective: float
     columns: list[Column]
     theta: list[float]
@@ -182,7 +182,7 @@ def solve(inst: Instance, config: CgConfig | None = None) -> CgResult:
             status = "time_limit"
             break
         if config.max_iterations is not None and it >= config.max_iterations:
-            status = "time_limit"
+            status = "max_iterations"
             break
 
     total = time.perf_counter() - t_start

@@ -18,6 +18,17 @@ Both solvers return the same objective:
 
 A popped node is skipped when an already expanded node with the same
 (u, M1) has strictly more capacity at strictly lower cost.
+
+The best-first search keeps its distances in an array indexed by label and
+capacity: a label is a (customer, memory) pair interned by the ArcIndex,
+with (v, 0) as label v, and the sink has a scalar of its own.  Edges toward
+targets with empty ng sets come from the bucket's dense matrix; edges toward
+targets with grown ng sets come from the bucket's window for the node's
+capacity and are checked and written in one masked numpy pass per expanded
+node, where only pushes onto the heap run in Python.  Windows under
+arcs.BATCH_MIN entries, and a bucket's first search after it changes, take
+a scalar loop instead.  bellman_ford keeps tuple-keyed dicts as the plain
+reference.
 """
 
 from __future__ import annotations
@@ -119,15 +130,14 @@ def solve_la_pricing(inst: Instance, sets: NeighborSets, table: ComponentPathTab
     index = index or ArcIndex(table, sets, inst.capacity)
     index.bind_duals(duals)
     if mode == "dijkstra":
-        dist, parent, diag = _best_first(
+        g, parent, diag = _best_first(
             inst, index, duals, heuristic, use_dominance, prune_bound
         )
     else:
-        dist, parent, diag = _relax_all(inst, index, duals)
-    if _SINK_KEY not in dist:
+        g, parent, diag = _relax_all(inst, index, duals)
+    if _SINK_KEY not in parent:
         raise RuntimeError("pricing graph has no source-to-sink path")
     route = _decode(inst, index, parent)
-    g = dist[_SINK_KEY]
     diag.adjusted_cost = g + diag.offset_rate * inst.capacity
     return PricingResult(route=route, reduced_cost=g, diagnostics=diag)
 
@@ -140,6 +150,7 @@ def _source_edges(inst: Instance, index: ArcIndex, duals: DualSolution):
 
 def _best_first(inst, index, duals, heuristic, use_dominance, prune_bound=np.inf):
     n, d0 = inst.n, inst.capacity
+    stride = d0 + 1
     dem = np.zeros(n + 1, dtype=np.int64)
     for u in inst.customers:
         dem[u] = inst.demand[u]
@@ -148,63 +159,77 @@ def _best_first(inst, index, duals, heuristic, use_dominance, prune_bound=np.inf
     if use_h:
         H = heuristic.h
         h_floor = np.min(H, axis=1)  # per-customer lower bound on cost-to-sink
+        pot = H.ravel()
+        floor_l = h_floor.tolist()
     else:
-        h_floor = None
+        pot = np.tile(-offr * np.arange(stride), n + 1)
+    pot_l = pot.tolist()  # potential of (v, d2) at flat index v * stride + d2
 
     def phi(u, d):
         return float(H[u, d]) if use_h else -offr * d
 
-    dist: dict[tuple, float] = {}
+    # distances of label (v, M2) at capacity d live at flat index
+    # label * stride + d; rows are added as groups intern new labels
+    labels = index.label_keys
+    dist = np.full((len(labels), stride), np.inf)
+    flat = dist.reshape(-1)
+    sink_g = np.inf
     parent: dict[tuple, tuple | None] = {}
     heap = []
     seed_g = np.inf
     seed_u = None
     for u, w in _source_edges(inst, index, duals):
-        key = (u, 0, d0)
-        if w < dist.get(key, np.inf) - 1e-15:
-            dist[key] = w
-            parent[key] = _SOURCE_KEY
-            heapq.heappush(heap, (w + phi(u, d0), d0, u, 0, w))
+        at = u * stride + d0
+        if w < flat.item(at) - 1e-15:
+            flat[at] = w
+            parent[(u, 0, d0)] = _SOURCE_KEY
+            heapq.heappush(heap, (w + phi(u, d0), d0, u, 0, w, u))
         # out-and-back completion of the source edge: a valid incumbent
         full = w + float(index._base_sink[u][d0])
         if full < seed_g:
             seed_g, seed_u = full, u
-    expanded: dict[tuple, list] = {}
-    closed: set = set()
+    expanded: dict[int, list] = {}
+    closed: set[int] = set()
     bound = prune_bound
     if seed_u is not None and np.isfinite(seed_g):
-        dist[_SINK_KEY] = seed_g
+        sink_g = seed_g
         parent[_SINK_KEY] = (seed_u, 0, d0)
         bound = min(bound, seed_g)
-        heapq.heappush(heap, (seed_g, 0, _SINK, 0, seed_g))
+        heapq.heappush(heap, (seed_g, 0, _SINK, 0, seed_g, _SINK))
     nodes = edges = 0
     zd_cols = np.arange(d0 + 1)
     while heap:
-        f, d, u, m1, g = heapq.heappop(heap)
+        f, d, u, m1, g, lab = heapq.heappop(heap)
         if u == _SINK or f >= bound:
             break
-        key = (u, m1, d)
-        if key in closed or g > dist.get(key, np.inf) + 1e-15:
+        at = lab * stride + d
+        if at in closed or g > flat.item(at) + 1e-15:
             continue
+        key = (u, m1, d)
         if use_dominance:
-            dom = expanded.get((u, m1))
+            dom = expanded.get(lab)
             if dom and any(d1 > d and g1 < g for d1, g1 in dom):
-                closed.add(key)
+                closed.add(at)
                 continue
-            expanded.setdefault((u, m1), []).append((d, g))
-        closed.add(key)
+            expanded.setdefault(lab, []).append((d, g))
+        closed.add(at)
         nodes += 1
         bucket = index.successors(u, m1)
+        if len(labels) > len(dist):
+            wider = np.full((max(2 * len(dist), len(labels)), stride), np.inf)
+            wider[:len(dist)] = dist
+            dist = wider
+            flat = dist.reshape(-1)
         # sink edge
         ws = bucket.sink_pref[d]
         if np.isfinite(ws):
             g2 = g + float(ws)
             edges += 1
-            if g2 < dist.get(_SINK_KEY, np.inf) - 1e-15:
-                dist[_SINK_KEY] = g2
+            if g2 < sink_g - 1e-15:
+                sink_g = g2
                 parent[_SINK_KEY] = key
                 bound = min(bound, g2)
-                heapq.heappush(heap, (g2, 0, _SINK, 0, g2))
+                heapq.heappush(heap, (g2, 0, _SINK, 0, g2, _SINK))
         # dense targets (empty ng sets, so M2 = 0)
         if d >= 2:
             A = bucket.dense[1:, 1:d + 1]
@@ -215,44 +240,73 @@ def _best_first(inst, index, duals, heuristic, use_dominance, prune_bound=np.inf
             else:
                 d2row = (d - zd_cols[1:d + 1])[None, :]
                 T = np.where(d2row >= dem[1:, None], A - offr * d2row, np.inf)
-            for flat in np.flatnonzero(T.ravel() < bound - g):
-                i, j = divmod(int(flat), d)
+            for cell in (T.ravel() < bound - g).nonzero()[0].tolist():
+                i, j = divmod(cell, d)
                 v = i + 1
                 d2 = d - (j + 1)
                 g2 = g + float(A[i, j])
                 edges += 1
-                k2 = (v, 0, d2)
-                if g2 < dist.get(k2, np.inf) - 1e-15:
-                    dist[k2] = g2
-                    parent[k2] = key
-                    heapq.heappush(heap, (g + float(T[i, j]), d2, v, 0, g2))
-        # targets with grown ng sets, per (M2, demand) group
-        for v, group in bucket.dirty.items():
-            # cheapest completion through v cannot beat the incumbent
-            if g + group.min_cost + (h_floor[v] if use_h else -offr * d) >= bound:
-                continue
-            dv = int(dem[v])
-            hv = H[v] if use_h else None
-            for m2, zd, w, capfloor in zip(group.m2s, group.zds, group.costs, group.caps):
-                d2 = d - zd
-                if d2 < dv or d2 > capfloor:
+                at = v * stride + d2
+                if g2 < flat.item(at) - 1e-15:
+                    flat[at] = g2
+                    parent[(v, 0, d2)] = key
+                    heapq.heappush(heap, (g + float(T[i, j]), d2, v, 0, g2, v))
+        # targets with grown ng sets: the (M2, demand) entries whose landing
+        # capacity fits.  Within one expansion every (label, d2) target is
+        # distinct (a grown target's dense row is +inf and each group has
+        # unique (M2, demand)), so distances are checked and written at once.
+        rows, cols = bucket.window(d)
+        if rows:
+            node_floor = None if use_h else -offr * d
+            for lo, hi, v, lab2, v_at, lab_at, neg_zd, w, gmin in rows:
+                if d < lo or d > hi:
+                    continue
+                # cheapest completion through v cannot beat the incumbent
+                if g + gmin + (floor_l[v] if use_h else node_floor) >= bound:
                     continue
                 g2 = g + w
-                f2 = g2 + (hv[d2] if use_h else -offr * d2)
+                f2 = g2 + pot_l[v_at + d]
                 edges += 1
                 if f2 >= bound:
                     continue
-                k2 = (v, m2, d2)
-                if g2 < dist.get(k2, np.inf) - 1e-15:
-                    dist[k2] = g2
-                    parent[k2] = key
-                    heapq.heappush(heap, (float(f2), d2, v, m2, g2))
+                at = lab_at + d
+                if g2 < flat.item(at) - 1e-15:
+                    flat[at] = g2
+                    d2 = d + neg_zd
+                    m2 = labels[lab2][1]
+                    parent[(v, m2, d2)] = key
+                    heapq.heappush(heap, (f2, d2, v, m2, g2, lab2))
+        elif cols is not None:
+            # flat indices are stored for d = 0: the arrays are offset by d
+            vs, labs, v_at, lab_at, neg_zds, ws, gmins = cols
+            # the scalar loop's group skip, entry by entry
+            reach = g + gmins
+            reach += h_floor.take(vs) if use_h else -offr * d
+            live = reach < bound
+            n_live = int(np.count_nonzero(live))
+            if n_live:
+                edges += n_live
+                g2s = g + ws
+                f2s = g2s + pot[d:].take(v_at)
+                live &= f2s < bound
+                dist_d = flat[d:]
+                live &= g2s < dist_d.take(lab_at) - 1e-15
+                hit = live.nonzero()[0]
+                if len(hit):
+                    g2h = g2s[hit]
+                    dist_d[lab_at[hit]] = g2h
+                    for lab2, neg_zd, g2, f2 in zip(labs[hit].tolist(), neg_zds[hit].tolist(),
+                                                    g2h.tolist(), f2s[hit].tolist()):
+                        d2 = d + neg_zd
+                        v, m2 = labels[lab2]
+                        parent[(v, m2, d2)] = key
+                        heapq.heappush(heap, (f2, d2, v, m2, g2, lab2))
     diag = PricingDiagnostics(
         mode="dijkstra", nodes_expanded=nodes, edges_relaxed=edges,
         offset_rate=offr, adjusted_cost=np.nan,
         used_heuristic=use_h, used_dominance=use_dominance,
     )
-    return dist, parent, diag
+    return sink_g, parent, diag
 
 
 def _relax_all(inst, index, duals):
@@ -313,7 +367,7 @@ def _relax_all(inst, index, duals):
         offset_rate=index.offset_rate(), adjusted_cost=np.nan,
         used_heuristic=False, used_dominance=False,
     )
-    return dist, parent, diag
+    return dist.get(_SINK_KEY, np.inf), parent, diag
 
 
 def _decode(inst: Instance, index: ArcIndex, parent) -> Route:

@@ -82,6 +82,14 @@ def test_time_limit_returns_best_so_far():
     assert res.objective > 0
 
 
+def test_max_iterations_status():
+    inst = generate_instance(37, 12, 6, "unit")
+    res = solve(inst, CgConfig(la_k=0, max_iterations=1))
+    assert res.status == "max_iterations"
+    assert res.iterations == 1
+    assert len(res.trace.rows) == 1 and res.trace.rows[0].columns_added >= 1
+
+
 def test_trace_csv_deterministic(tmp_path):
     inst = generate_instance(38, 7, 4, "unit")
     p1, p2 = tmp_path / "t1.csv", tmp_path / "t2.csv"

@@ -1,0 +1,96 @@
+"""Pinned column-generation trajectory on a capacity-20 instance with
+demands 1..10.
+
+The solve keeps enough memory in play that best-first pricing runs both its
+scalar loop (windows under BATCH_MIN grown-ng entries) and its batched pass,
+so any change that perturbs the search order, a counter or a float shows up
+here rather than only in the minutes-long benchmark.
+"""
+
+import pytest
+
+from lacg.arcs import BATCH_MIN, ArcIndex, compute_component_paths
+from lacg.driver import CgConfig, solve
+from lacg.dssr import price_elementary
+from lacg.instances import cost_matrix, generate_instance
+from lacg.neighbors import build_la_neighbors
+from lacg.pricing import solve_la_pricing
+from lacg.rmp import initial_columns, solve_rmp
+
+# la_k -> (objective, (CG iterations, DSSR iterations, nodes expanded,
+# final columns)), recorded before label-indexed distances replaced the
+# tuple-keyed dict in the search
+PINNED = {
+    0: (5922.67646939598, (29, 360, 30895, 140)),
+    10: (5922.676469395981, (40, 230, 6000, 130)),
+}
+
+
+def _instance():
+    return generate_instance(105, 16, 20, "uniform_1_10")
+
+
+@pytest.mark.parametrize("la_k", sorted(PINNED))
+def test_pinned_trajectory(la_k):
+    objective, counters = PINNED[la_k]
+    res = solve(_instance(), CgConfig(la_k=la_k))
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(objective, abs=1e-9)
+    rows = res.trace.rows
+    assert (
+        res.iterations,
+        sum(r.dssr_iterations for r in rows),
+        sum(r.nodes_expanded for r in rows),
+        len(res.columns),
+    ) == counters
+
+
+def _grown(la_k):
+    """Index and sets after one exact pricing call under the first RMP duals."""
+    inst = _instance()
+    costs = cost_matrix(inst)
+    sets = build_la_neighbors(inst, la_k, costs)
+    table = compute_component_paths(inst, sets, costs)
+    index = ArcIndex(table, sets, inst.capacity)
+    duals = solve_rmp(initial_columns(inst, costs), inst.n, inst.fleet).duals
+    res = price_elementary(inst, sets, table, duals, index=index)
+    assert res.iterations > 1 and sets.ng_size_total() > 0
+    return inst, sets, table, index, duals, res
+
+
+@pytest.mark.parametrize("la_k", sorted(PINNED))
+def test_dijkstra_matches_bellman_ford_after_ng_growth(la_k):
+    inst, sets, table, index, duals, res = _grown(la_k)
+    a = solve_la_pricing(inst, sets, table, duals, "dijkstra", index=index)
+    b = solve_la_pricing(inst, sets, table, duals, "bellman_ford", index=index)
+    assert a.reduced_cost == pytest.approx(b.reduced_cost, abs=1e-9)
+    assert a.reduced_cost == pytest.approx(res.reduced_cost, abs=1e-9)
+
+
+def test_windows_match_group_filter():
+    inst, sets, table, index, duals, res = _grown(10)
+    stride = inst.capacity + 1
+    kinds = set()
+    for bucket in index._buckets.values():
+        for d in range(stride):
+            want = set()
+            for v, grp in bucket.dirty.items():
+                for m2, zd, w, cap in zip(grp.m2s, grp.zds, grp.costs, grp.caps):
+                    if inst.demand[v] <= d - zd <= cap:
+                        want.add((v, index.label_keys.index((v, m2)), d - zd, w, grp.min_cost))
+            rows, cols = bucket.window(d)
+            if cols is None:
+                kinds.add("rows")
+                got = {(v, lab, nz + d, w, gmin)
+                       for lo, hi, v, lab, _, _, nz, w, gmin in rows if lo <= d <= hi}
+            else:
+                kinds.add("columns")
+                vs, labs, v_at, lab_at, neg_zds, ws, gmins = (c.tolist() for c in cols)
+                assert len(vs) >= BATCH_MIN
+                assert v_at == [v * stride + nz for v, nz in zip(vs, neg_zds)]
+                assert lab_at == [lab * stride + nz for lab, nz in zip(labs, neg_zds)]
+                got = {(v, lab, nz + d, w, gmin)
+                       for v, lab, nz, w, gmin in zip(vs, labs, neg_zds, ws, gmins)}
+                assert len(got) == len(vs)
+            assert got == want
+    assert kinds == {"rows", "columns"}
