@@ -16,10 +16,9 @@ from .arcs import (
     compute_component_paths, build_arc_index,
 )
 from .pricing import (
-    HeuristicTable, PricingResult,
-    compute_offset_rate, compute_heuristic, solve_la_pricing,
+    HeuristicTable, PricingResult, compute_heuristic, solve_la_pricing,
 )
-from .dssr import CycleChoice, DssrResult, price_elementary, select_cycle, invalidate_arc_index
+from .dssr import CycleChoice, DssrResult, price_elementary, select_cycle
 from .rmp import (
     Column, RmpSolution, make_column, initial_columns, solve_rmp,
     lagrangian_bound, dump_columns,
@@ -37,9 +36,8 @@ __all__ = [
     "LaArc", "ComponentPathTable", "ArcIndex",
     "compute_component_paths", "build_arc_index",
     "HeuristicTable", "PricingResult",
-    "compute_offset_rate", "compute_heuristic", "solve_la_pricing",
+    "compute_heuristic", "solve_la_pricing",
     "CycleChoice", "DssrResult", "price_elementary", "select_cycle",
-    "invalidate_arc_index",
     "Column", "RmpSolution", "make_column", "initial_columns", "solve_rmp",
     "lagrangian_bound", "dump_columns",
     "CgConfig", "CgResult", "CgTrace", "solve",

@@ -18,6 +18,12 @@ bitmasks, bit u-1 for customer u):
 Subsets whose demand cannot fit in a vehicle alongside u are skipped: such
 arcs could never appear in a feasible route.
 
+Each arc row also stores its subset as la(u)-local bits: bit j stands for
+la(u)[j].  la(u) is sorted and has at most MAX_LA_SIZE members, so the bits
+fit a uint32 for any number of customers, and local masks order subsets
+exactly as their global masks do.  Every per-row subset test (M1 filters,
+carried memories, decode) runs on these bits.
+
 ArcIndex owns the dual-dependent view used by one pricing call: arc reduced
 costs, the per-(u, visited-memory) successor buckets consumed by the search,
 and the lazily cached groups keyed by (u, v, M1, M2, demand).  Growing a
@@ -78,7 +84,9 @@ class ComponentPathTable:
         self._start: dict[tuple[int, int, int], tuple[float, int | None]] = {}
         self.subsets: dict[int, list[int]] = {}
         self._arc_v: dict[int, np.ndarray] = {}
-        self._arc_mask64: dict[int, np.ndarray | None] = {}
+        self._la_pos = {u: {w: 1 << j for j, w in enumerate(sets.la(u))}
+                        for u in inst.customers}
+        self._arc_local: dict[int, np.ndarray] = {}
         self._arc_subset: dict[int, np.ndarray] = {}
         self._arc_zd: dict[int, np.ndarray] = {}
         self._arc_cost: dict[int, np.ndarray] = {}
@@ -103,6 +111,27 @@ class ComponentPathTable:
 
     def _c(self, a: int, b: int) -> float:
         return self.costs.m[self.costs.index(a), self.costs.index(b)]
+
+    def to_local(self, u: int, mask: int) -> int:
+        """la(u)-local bits of a global mask; members outside la(u) drop out."""
+        pos = self._la_pos[u]
+        mask &= self.sets.la_mask(u)
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= pos[low.bit_length()]
+            mask ^= low
+        return out
+
+    def to_global(self, u: int, local: int) -> int:
+        """Global customer mask of la(u)-local bits."""
+        nbrs = self.sets.la(u)
+        out = 0
+        while local:
+            low = local & -local
+            out |= bit(nbrs[low.bit_length() - 1])
+            local ^= low
+        return out
 
     # -- construction ------------------------------------------------------
 
@@ -191,7 +220,6 @@ class ComponentPathTable:
     def _build_arcs(self):
         inst = self.inst
         cm = self.costs
-        use64 = inst.n <= 63
         for u in inst.customers:
             excluded = set(self.sets.la(u)) | {u}
             targets = [v for v in inst.customers if v not in excluded]
@@ -251,18 +279,10 @@ class ComponentPathTable:
                 int(av_np[vstarts[i]]): (int(vbounds[i]), int(vbounds[i + 1]))
                 for i in range(len(vstarts))
             }
-            if use64:
-                sub64 = np.array(subsets, dtype=np.uint64)
-                self._arc_mask64[u] = np.repeat(sub64, T)[perm]
-            else:
-                self._arc_mask64[u] = None
-            nbrs = self.sets.la(u)
-            ind = np.zeros((n_sub, max(1, len(nbrs))))
-            for s_idx, mask in enumerate(subsets):
-                for j, w in enumerate(nbrs):
-                    if mask & bit(w):
-                        ind[s_idx, j] = 1.0
-            self._subset_indicator[u] = ind
+            local = np.array([self.to_local(u, m) for m in subsets], dtype=np.uint32)
+            self._arc_local[u] = np.repeat(local, T)[perm]
+            j = np.arange(max(1, len(self.sets.la(u))), dtype=np.uint32)
+            self._subset_indicator[u] = ((local[:, None] >> j) & 1).astype(float)
 
     def _build(self):
         masks = self._enumerate_subsets()
@@ -368,30 +388,29 @@ class _Group:
     """Minimum reduced cost per (carried memory, demand) toward one target.
 
     `rows` holds the same entries laid out for the search, one tuple each:
-    (lo, hi, v, label, v * stride - zd, label * stride - zd, -zd, cost,
-    group minimum) with stride = d0 + 1.  An entry fits remaining capacity d
-    iff lo <= d <= hi, that is when the landing capacity d - zd covers v's
-    demand and stays under the carried memory's capacity ceiling; adding d
-    to the two stride terms gives the flat (v, d2) and (label, d2) indices.
+    (lo, hi, v, label, v * stride - zd, label * stride - zd, -zd, cost) with
+    stride = d0 + 1.  An entry fits remaining capacity d iff lo <= d <= hi,
+    that is when the landing capacity d - zd covers v's demand and stays
+    under the carried memory's capacity ceiling; adding d to the two stride
+    terms gives the flat (v, d2) and (label, d2) indices.
     """
 
-    __slots__ = ("m2s", "zds", "costs", "caps", "min_cost", "rows", "_columns")
+    __slots__ = ("m2s", "zds", "costs", "caps", "rows", "_columns")
 
-    def __init__(self, m2s, zds, costs, caps, min_cost, rows):
+    def __init__(self, m2s, zds, costs, caps, rows):
         self.m2s = m2s        # carried-memory masks
         self.zds = zds        # arc demands
         self.costs = costs    # group-minimum reduced costs
         self.caps = caps      # capacity ceiling of the reached node
-        self.min_cost = min_cost
         self.rows = rows
         self._columns = None
 
     def columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Non-empty `rows` as an int block (7, k) and a float block (2, k)."""
+        """Non-empty `rows` as an int block (7, k) and a cost column (k,)."""
         if self._columns is None:
             fields = list(zip(*self.rows))
             self._columns = (np.array(fields[:7], dtype=np.int64),
-                             np.array(fields[7:], dtype=float))
+                             np.array(fields[7], dtype=float))
         return self._columns
 
 
@@ -421,8 +440,8 @@ class _Bucket:
         One of the two is None.  `rows` lists every entry of the bucket as
         _Group.rows tuples, and the caller skips those outside lo <= d <=
         hi.  `columns` holds, for exactly the entries that fit d, arrays
-        for the tuple fields from v on: (v, label, v * stride - zd, label *
-        stride - zd, -zd, cost, group minimum).
+        for the tuple fields from label on: (label, v * stride - zd, label *
+        stride - zd, -zd, cost).
 
         Columns come only when at least BATCH_MIN entries fit d and the
         bucket was already searched since its groups last changed: sorting
@@ -444,7 +463,7 @@ class _Bucket:
             if k and hi_min[k - 1] < d:  # a memory's capacity ceiling binds
                 sel = (cols[1] >= d).nonzero()[0]
                 cols = [c[sel] for c in cols]
-            got = (rows, None) if len(cols[0]) < BATCH_MIN else (None, cols[2:])
+            got = (rows, None) if len(cols[0]) < BATCH_MIN else (None, cols[3:])
             self._windows[d] = got
         return got
 
@@ -453,10 +472,10 @@ class _Bucket:
         ints = np.concatenate([b[0] for b in blocks], axis=1)
         order = np.argsort(ints[0])
         ints = ints.take(order, axis=1)
-        floats = np.concatenate([b[1] for b in blocks], axis=1).take(order, axis=1)
+        costs = np.concatenate([b[1] for b in blocks]).take(order)
         ends = np.searchsorted(ints[0], np.arange(self.dense.shape[1]), side="right")
         hi_min = np.minimum.accumulate(ints[1])
-        return [*ints, *floats], ends.tolist(), hi_min.tolist()
+        return [*ints, costs], ends.tolist(), hi_min.tolist()
 
 
 class ArcIndex:
@@ -587,16 +606,7 @@ class ArcIndex:
         inst = self.inst
         table = self.table
         cbar = self._cbar[u]
-        mask64 = table._arc_mask64[u]
-        if mask64 is not None:
-            sel = (mask64 & np.uint64(fkey)) == 0
-        else:
-            subsets = table.subsets[u]
-            sel = np.fromiter(
-                ((subsets[s] & fkey) == 0 for s in table._arc_subset[u].tolist()),
-                dtype=bool,
-                count=len(cbar),
-            )
+        sel = (table._arc_local[u] & np.uint32(table.to_local(u, fkey))) == 0
         # arcs are (target, demand)-sorted: one masked reduceat per layer
         mins = np.minimum.reduceat(np.where(sel, cbar, np.inf), table._grp_starts[u])
         gv = table._grp_v[u]
@@ -634,65 +644,53 @@ class ArcIndex:
             return
         table = self.table
         a, b = bounds
-        mask64 = table._arc_mask64[u]
+        local_v = table._arc_local[u][a:b]
         cbar_v = self._cbar[u][a:b]
         zd_v = table._arc_zd[u][a:b]
-        if mask64 is not None:
-            masks_v = mask64[a:b]
-            fixed = np.uint64(m1 | bit(u))
-            if m1:
-                keep = (masks_v & np.uint64(m1)) == 0
-                masks_v, cbar_v, zd_v = masks_v[keep], cbar_v[keep], zd_v[keep]
-            if len(cbar_v) == 0:
-                dirty[v] = self._make_group(v, [], [], [])
-                return
-            m2s = (np.uint64(ng_v) & (masks_v | fixed)).astype(np.int64)
-            # group-minimum over (m2, zd) without python loops
-            order = np.lexsort((cbar_v, zd_v, m2s))
-            m2o, zdo, cbo = m2s[order], zd_v[order], cbar_v[order]
-            firsts = np.flatnonzero(
-                np.concatenate(
-                    ([True], (m2o[1:] != m2o[:-1]) | (zdo[1:] != zdo[:-1]))
-                )
-            )
-            group = self._make_group(
-                v, m2o[firsts].tolist(), zdo[firsts].tolist(), cbo[firsts].tolist()
-            )
-            self._groups[gkey] = group
-            dirty[v] = group
+        if m1:
+            keep = (local_v & np.uint32(table.to_local(u, m1))) == 0
+            local_v, cbar_v, zd_v = local_v[keep], cbar_v[keep], zd_v[keep]
+        if len(cbar_v) == 0:
+            dirty[v] = self._make_group(v, [], [], [])
             return
-        subsets = table.subsets[u]
-        subs_v = table._arc_subset[u][a:b]
-        raw = [
-            (subsets[s], c, int(z))
-            for s, c, z in zip(subs_v.tolist(), cbar_v.tolist(), zd_v.tolist())
-            if (subsets[s] & m1) == 0
-        ]
-        fixed = m1 | bit(u)
-        best: dict[tuple[int, int], float] = {}
-        inf = np.inf
-        for m, c, zd in raw:
-            k = (ng_v & (m | fixed), zd)
-            if c < best.get(k, inf):
-                best[k] = c
+        outside, m2s = self._memories(u, m1, ng_v, local_v)
+        # group-minimum over (m2, zd) without python loops
+        order = np.lexsort((cbar_v, zd_v, m2s))
+        m2o, zdo, cbo = m2s[order], zd_v[order], cbar_v[order]
+        firsts = np.flatnonzero(
+            np.concatenate(([True], (m2o[1:] != m2o[:-1]) | (zdo[1:] != zdo[:-1])))
+        )
         group = self._make_group(
-            v, [k[0] for k in best], [k[1] for k in best], list(best.values())
+            v, [outside | table.to_global(u, m) for m in m2o[firsts].tolist()],
+            zdo[firsts].tolist(), cbo[firsts].tolist(),
         )
         self._groups[gkey] = group
         dirty[v] = group
 
+    def _memories(self, u: int, m1: int, ng_v: int, local: np.ndarray):
+        """Carried memories M2 = ng(v) & (S | M1 | u) of arcs from (u, M1)
+        whose subsets S have la(u)-local bits `local`.
+
+        S lies inside la(u), so the bits of M2 outside la(u) are the same for
+        every arc; they come first, then each arc's la(u)-local image of M2.
+        Local images order memories exactly as the global masks do.
+        """
+        to_local = self.table.to_local
+        fixed = ng_v & (m1 | bit(u))
+        image = np.uint32(to_local(u, fixed)) | (np.uint32(to_local(u, ng_v)) & local)
+        return fixed & ~self.sets.la_mask(u), image
+
     def _make_group(self, v: int, m2s: list, zds: list, costs: list) -> _Group:
         md = self.table.mask_demand
         caps = [self.d0 - md(m) for m in m2s]
-        min_cost = min(costs) if costs else np.inf
         dv = self.inst.demand[v]
         stride = self.d0 + 1
         rows = []
         for m2, zd, cap, w in zip(m2s, zds, caps, costs):
             lab = self._label(v, m2)
             rows.append((zd + dv, zd + cap, v, lab, v * stride - zd, lab * stride - zd,
-                         -zd, w, min_cost))
-        return _Group(m2s, zds, costs, caps, min_cost, rows)
+                         -zd, w))
+        return _Group(m2s, zds, costs, caps, rows)
 
     def invalidate(self, grown, added: int | None = None) -> None:
         """Drop cached entries whose start or end customer had its ng set grown.
@@ -736,16 +734,8 @@ class ArcIndex:
         rows = np.arange(a, b)
         if m1 == 0:
             return rows
-        mask64 = table._arc_mask64[u]
-        if mask64 is not None:
-            keep = (mask64[a:b] & np.uint64(m1)) == 0
-            return rows[keep]
-        subsets = table.subsets[u]
-        subs = table._arc_subset[u]
-        return np.array(
-            [r for r in rows.tolist() if (subsets[subs[r]] & m1) == 0],
-            dtype=np.intp,
-        )
+        keep = (table._arc_local[u][a:b] & np.uint32(table.to_local(u, m1))) == 0
+        return rows[keep]
 
     def best_arc_between(self, u: int, m1: int, v: int, zd: int, m2: int) -> int:
         """Arc row realizing the bucket weight of edge (u,M1,*) -> (v,M2,*)."""
@@ -758,18 +748,9 @@ class ArcIndex:
         rows = rows[lo:hi]
         ng_v = self.sets.ng_mask(v)
         if ng_v:
-            fixed = m1 | bit(u)
-            mask64 = table._arc_mask64[u]
-            if mask64 is not None:
-                ok = (np.uint64(ng_v) & (mask64[rows] | np.uint64(fixed))) == np.uint64(m2)
-            else:
-                subsets = table.subsets[u]
-                subs = table._arc_subset[u]
-                ok = np.fromiter(
-                    ((ng_v & (subsets[subs[r]] | fixed)) == m2 for r in rows.tolist()),
-                    dtype=bool, count=len(rows),
-                )
-            rows = rows[ok]
+            outside, m2s = self._memories(u, m1, ng_v, table._arc_local[u][rows])
+            same_outside = outside == m2 & ~self.sets.la_mask(u)
+            rows = rows[(m2s == table.to_local(u, m2)) & same_outside]
         if not len(rows):
             raise RuntimeError("no arc matches a traversed edge")
         return int(rows[np.argmin(self._cbar[u][rows])])

@@ -35,14 +35,10 @@ class CgConfig:
     cycle_rule: str = "min_nodes_added"
     early_exit: str = "off"
     single_column: bool = False
-    mode: str = "dijkstra"
-    use_astar: bool = True
-    use_dominance: bool = True
     rc_add_tol: float = 1e-9
     rc_stop_tol: float = 1e-6
     time_limit: float | None = None
     max_iterations: int | None = None
-    seed: int = 0  # reserved for randomized variants; the solver is deterministic
 
     @property
     def arm(self) -> str:
@@ -130,9 +126,7 @@ def solve(inst: Instance, config: CgConfig | None = None) -> CgResult:
 
         res = price_elementary(
             inst, sets, table, duals,
-            cycle_rule=config.cycle_rule, early_exit=config.early_exit,
-            mode=config.mode, use_astar=config.use_astar,
-            use_dominance=config.use_dominance, index=index,
+            cycle_rule=config.cycle_rule, early_exit=config.early_exit, index=index,
         )
         t2 = time.perf_counter()
         pricing_time += t2 - t1

@@ -60,20 +60,6 @@ class DssrResult:
     exact: bool
     log: list[DssrIteration] = field(default_factory=list)
     nodes_expanded: int = 0
-    offset_rate: float = 0.0
-
-    def trace_record(self) -> dict:
-        """CSV-serializable per-call summary."""
-        cycles = ";".join(
-            f"{row.cycle.customer}@{row.cycle.start}-{row.cycle.end}"
-            for row in self.log if row.cycle is not None
-        )
-        return {
-            "iterations": self.iterations,
-            "cycles": cycles,
-            "ng_total_final": self.log[-1].ng_total if self.log else 0,
-            "nodes_expanded": self.nodes_expanded,
-        }
 
 
 def select_cycle(route: Route, sets: NeighborSets, inst: Instance,
@@ -116,20 +102,11 @@ def select_cycle(route: Route, sets: NeighborSets, inst: Instance,
     return CycleChoice(start=k1, end=k2, customer=u, augment=targets)
 
 
-def invalidate_arc_index(index: ArcIndex, grown, added: int | None = None) -> None:
-    """Drop cached arc groups starting or ending at a grown customer."""
-    index.invalidate(grown, added)
-
-
 def price_elementary(inst: Instance, sets: NeighborSets, table: ComponentPathTable,
                      duals: DualSolution, *,
                      cycle_rule: str = "min_nodes_added",
                      early_exit: str = "off",
-                     mode: str = "dijkstra",
-                     use_astar: bool = True,
-                     use_dominance: bool = True,
-                     index: ArcIndex | None = None,
-                     max_iterations: int | None = None) -> DssrResult:
+                     index: ArcIndex | None = None) -> DssrResult:
     """Exact minimum-reduced-cost elementary route under the given duals."""
     if early_exit not in EARLY_EXIT:
         raise ValueError(f"unknown early-exit policy {early_exit!r}")
@@ -137,10 +114,8 @@ def price_elementary(inst: Instance, sets: NeighborSets, table: ComponentPathTab
     index = index or ArcIndex(table, sets, inst.capacity)
     index.bind_duals(duals)
     costs = table.costs
-    heuristic = None
-    if use_astar and mode == "dijkstra":
-        heuristic = compute_heuristic(inst, sets, table, duals, index=index)
-    limit = max_iterations or inst.n * (inst.n - 1) + 2
+    heuristic = compute_heuristic(inst, sets, table, duals, index=index)
+    limit = inst.n * (inst.n - 1) + 2
     early: list[tuple[Route, float]] = []
     early_seen: set[tuple[int, ...]] = set()
     log: list[DssrIteration] = []
@@ -149,9 +124,7 @@ def price_elementary(inst: Instance, sets: NeighborSets, table: ComponentPathTab
     best_rc = float("inf")
     for it in range(1, limit + 1):
         res = solve_la_pricing(
-            inst, sets, table, duals, mode,
-            index=index, heuristic=heuristic, use_dominance=use_dominance,
-            prune_bound=best_rc,
+            inst, sets, table, duals, index=index, heuristic=heuristic, prune_bound=best_rc,
         )
         total_nodes += res.diagnostics.nodes_expanded
         route = res.route
@@ -166,7 +139,6 @@ def price_elementary(inst: Instance, sets: NeighborSets, table: ComponentPathTab
             return DssrResult(
                 route=best_elem, reduced_cost=best_rc, early_columns=early,
                 iterations=it, exact=True, log=log, nodes_expanded=total_nodes,
-                offset_rate=res.diagnostics.offset_rate,
             )
         if is_elementary(route):
             log.append(DssrIteration(
@@ -177,7 +149,6 @@ def price_elementary(inst: Instance, sets: NeighborSets, table: ComponentPathTab
             return DssrResult(
                 route=route, reduced_cost=res.reduced_cost, early_columns=early,
                 iterations=it, exact=True, log=log, nodes_expanded=total_nodes,
-                offset_rate=res.diagnostics.offset_rate,
             )
         trimmed = trim_to_elementary(route, inst)
         rc_trim = reduced_cost(trimmed, duals, costs)
@@ -196,7 +167,6 @@ def price_elementary(inst: Instance, sets: NeighborSets, table: ComponentPathTab
             return DssrResult(
                 route=trimmed, reduced_cost=rc_trim, early_columns=early,
                 iterations=it, exact=False, log=log, nodes_expanded=total_nodes,
-                offset_rate=res.diagnostics.offset_rate,
             )
         grew = False
         for w in choice.augment:

@@ -47,7 +47,6 @@ class NeighborSets:
         self._la = la
         self._la_mask = {u: mask_of(nbrs) for u, nbrs in la.items()}
         self._ng_mask = {u: 0 for u in la}
-        self.ng_version = 0
 
     @property
     def customers(self) -> tuple[int, ...]:
@@ -79,7 +78,6 @@ class NeighborSets:
     def reset_ng(self) -> None:
         for u in self._ng_mask:
             self._ng_mask[u] = 0
-        self.ng_version += 1
 
     def has_ng(self, w: int, u: int) -> bool:
         """True when u is an ng neighbor of w."""
@@ -112,5 +110,4 @@ def augment_ng(sets: NeighborSets, w: int, u: int) -> bool:
     if new == old:
         return False
     sets._ng_mask[w] = new
-    sets.ng_version += 1
     return True

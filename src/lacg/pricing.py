@@ -51,13 +51,10 @@ _SINK_KEY = (0, 0, 0)
 
 @dataclass
 class PricingDiagnostics:
-    mode: str
     nodes_expanded: int
     edges_relaxed: int
     offset_rate: float
     adjusted_cost: float
-    used_heuristic: bool
-    used_dominance: bool
 
 
 @dataclass
@@ -75,19 +72,6 @@ class HeuristicTable:
     """
 
     h: np.ndarray  # (n+1, d0+1); +inf where d < demand(u)
-
-    def value(self, u: int, d: int) -> float:
-        return float(self.h[u, d])
-
-
-def compute_offset_rate(index: ArcIndex, duals: DualSolution) -> float:
-    """Smallest nonnegative per-demand offset with all edge weights >= 0.
-
-    max(0, -min over arcs of reduced_cost / arc_demand), scanned over the
-    whole arc table so the value stays valid as ng sets grow.
-    """
-    index.bind_duals(duals)
-    return index.offset_rate()
 
 
 def compute_heuristic(inst: Instance, sets: NeighborSets, table: ComponentPathTable,
@@ -158,9 +142,7 @@ def _best_first(inst, index, duals, heuristic, use_dominance, prune_bound=np.inf
     use_h = heuristic is not None
     if use_h:
         H = heuristic.h
-        h_floor = np.min(H, axis=1)  # per-customer lower bound on cost-to-sink
         pot = H.ravel()
-        floor_l = h_floor.tolist()
     else:
         pot = np.tile(-offr * np.arange(stride), n + 1)
     pot_l = pot.tolist()  # potential of (v, d2) at flat index v * stride + d2
@@ -257,12 +239,8 @@ def _best_first(inst, index, duals, heuristic, use_dominance, prune_bound=np.inf
         # unique (M2, demand)), so distances are checked and written at once.
         rows, cols = bucket.window(d)
         if rows:
-            node_floor = None if use_h else -offr * d
-            for lo, hi, v, lab2, v_at, lab_at, neg_zd, w, gmin in rows:
+            for lo, hi, v, lab2, v_at, lab_at, neg_zd, w in rows:
                 if d < lo or d > hi:
-                    continue
-                # cheapest completion through v cannot beat the incumbent
-                if g + gmin + (floor_l[v] if use_h else node_floor) >= bound:
                     continue
                 g2 = g + w
                 f2 = g2 + pot_l[v_at + d]
@@ -278,33 +256,24 @@ def _best_first(inst, index, duals, heuristic, use_dominance, prune_bound=np.inf
                     heapq.heappush(heap, (f2, d2, v, m2, g2, lab2))
         elif cols is not None:
             # flat indices are stored for d = 0: the arrays are offset by d
-            vs, labs, v_at, lab_at, neg_zds, ws, gmins = cols
-            # the scalar loop's group skip, entry by entry
-            reach = g + gmins
-            reach += h_floor.take(vs) if use_h else -offr * d
-            live = reach < bound
-            n_live = int(np.count_nonzero(live))
-            if n_live:
-                edges += n_live
-                g2s = g + ws
-                f2s = g2s + pot[d:].take(v_at)
-                live &= f2s < bound
-                dist_d = flat[d:]
-                live &= g2s < dist_d.take(lab_at) - 1e-15
-                hit = live.nonzero()[0]
-                if len(hit):
-                    g2h = g2s[hit]
-                    dist_d[lab_at[hit]] = g2h
-                    for lab2, neg_zd, g2, f2 in zip(labs[hit].tolist(), neg_zds[hit].tolist(),
-                                                    g2h.tolist(), f2s[hit].tolist()):
-                        d2 = d + neg_zd
-                        v, m2 = labels[lab2]
-                        parent[(v, m2, d2)] = key
-                        heapq.heappush(heap, (f2, d2, v, m2, g2, lab2))
+            labs, v_at, lab_at, neg_zds, ws = cols
+            edges += len(ws)
+            g2s = g + ws
+            f2s = g2s + pot[d:].take(v_at)
+            dist_d = flat[d:]
+            live = (f2s < bound) & (g2s < dist_d.take(lab_at) - 1e-15)
+            hit = live.nonzero()[0]
+            if len(hit):
+                g2h = g2s[hit]
+                dist_d[lab_at[hit]] = g2h
+                for lab2, neg_zd, g2, f2 in zip(labs[hit].tolist(), neg_zds[hit].tolist(),
+                                                g2h.tolist(), f2s[hit].tolist()):
+                    d2 = d + neg_zd
+                    v, m2 = labels[lab2]
+                    parent[(v, m2, d2)] = key
+                    heapq.heappush(heap, (f2, d2, v, m2, g2, lab2))
     diag = PricingDiagnostics(
-        mode="dijkstra", nodes_expanded=nodes, edges_relaxed=edges,
-        offset_rate=offr, adjusted_cost=np.nan,
-        used_heuristic=use_h, used_dominance=use_dominance,
+        nodes_expanded=nodes, edges_relaxed=edges, offset_rate=offr, adjusted_cost=np.nan,
     )
     return sink_g, parent, diag
 
@@ -363,9 +332,8 @@ def _relax_all(inst, index, duals):
                         parent[k2] = key
                         by_d[d2].add((v, m2))
     diag = PricingDiagnostics(
-        mode="bellman_ford", nodes_expanded=nodes, edges_relaxed=edges,
+        nodes_expanded=nodes, edges_relaxed=edges,
         offset_rate=index.offset_rate(), adjusted_cost=np.nan,
-        used_heuristic=False, used_dominance=False,
     )
     return dist.get(_SINK_KEY, np.inf), parent, diag
 

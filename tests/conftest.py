@@ -1,9 +1,18 @@
 import math
+import os
+from pathlib import Path
 
 import pytest
 
 from lacg.instances import Instance
 from lacg.neighbors import build_la_neighbors, augment_ng
+
+# pytest's `pythonpath` setting reaches this process only; tests that start
+# `python -m lacg` in a child process find the checkout through PYTHONPATH
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [_SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+)
 
 
 @pytest.fixture

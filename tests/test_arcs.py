@@ -255,3 +255,25 @@ def test_invalidate_identity_and_equivalence():
     snapshot = dict(index._buckets)
     index.invalidate(set())
     assert index._buckets == snapshot
+
+
+def test_local_subset_bits():
+    # ids past 63 included: local bits depend only on positions within la(u)
+    inst, cm, sets, table = _table(3, 70, 4, 4)
+    for u in inst.customers:
+        nbrs = sets.la(u)
+        subsets = table.subsets[u]
+        local = [table.to_local(u, m) for m in subsets]
+        assert [table.to_global(u, m) for m in local] == subsets
+        for m, lm in zip(subsets, local):
+            assert lm == sum(1 << j for j, w in enumerate(nbrs) if m & bit(w))
+        # local masks order subsets as their global masks do
+        assert sorted(range(len(subsets)), key=local.__getitem__) == \
+            sorted(range(len(subsets)), key=subsets.__getitem__)
+        assert table._arc_local[u].tolist() == [local[s] for s in table._arc_subset[u].tolist()]
+        ind = table._subset_indicator[u]
+        assert ind.tolist() == [[float(bool(lm >> j & 1)) for j in range(max(1, len(nbrs)))]
+                                for lm in local]
+    # members outside la(u) drop out of the local image
+    u = 70
+    assert table.to_local(u, bit(u) | mask_of(sets.la(u))) == (1 << len(sets.la(u))) - 1

@@ -98,3 +98,14 @@ def test_trace_csv_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text().splitlines()[0]
     assert "wall" not in header and "time" not in header
+
+
+def test_more_than_63_customers():
+    # customer ids past 63 overflow a uint64 global mask; arc subsets are
+    # stored as la(u)-local bits, so la5 runs the same vectorized path as la0.
+    # CG iterations were recorded when n > 63 still ran a per-row fallback.
+    inst = generate_instance(3, 66, 3, "unit")
+    results = {k: solve(inst, CgConfig(la_k=k)) for k in (0, 5)}
+    assert all(r.status == "optimal" for r in results.values())
+    assert results[5].objective == pytest.approx(results[0].objective, abs=1e-6)
+    assert (results[0].iterations, results[5].iterations) == (154, 153)

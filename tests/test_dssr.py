@@ -9,7 +9,7 @@ from lacg.routes import (
 )
 from lacg.arcs import build_arc_index, compute_component_paths
 from lacg.pricing import solve_la_pricing
-from lacg.dssr import price_elementary, select_cycle, invalidate_arc_index
+from lacg.dssr import price_elementary, select_cycle
 from lacg import oracle
 
 
@@ -169,7 +169,7 @@ def test_augmentation_forbids_returned_route():
                 augment_ng(sets, w, choice.customer)
             # the augmented sets now reject the same route
             assert not is_la_route(res.route, sets)
-            invalidate_arc_index(index, set(choice.augment))
+            index.invalidate(set(choice.augment))
 
 
 def test_full_vs_targeted_invalidation():
@@ -191,4 +191,4 @@ def test_full_vs_targeted_invalidation():
         choice = select_cycle(res.route, sets, inst)
         for w in choice.augment:
             augment_ng(sets, w, choice.customer)
-        invalidate_arc_index(index, set(choice.augment))
+        index.invalidate(set(choice.augment))

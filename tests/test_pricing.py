@@ -8,9 +8,7 @@ from lacg.instances import Instance, generate_instance, cost_matrix, END_DEPOT
 from lacg.neighbors import build_la_neighbors, augment_ng
 from lacg.routes import DualSolution, reduced_cost, is_la_route
 from lacg.arcs import build_arc_index, compute_component_paths
-from lacg.pricing import (
-    compute_offset_rate, compute_heuristic, solve_la_pricing,
-)
+from lacg.pricing import compute_heuristic, solve_la_pricing
 from lacg import oracle
 
 
@@ -31,7 +29,8 @@ def test_offset_rate_zero_when_all_nonnegative():
     inst, cm, sets, table = _setup(1, 5, 5, 2)
     index = build_arc_index(table, sets, inst.capacity)
     duals = DualSolution(pi={u: 0.0 for u in inst.customers})
-    assert compute_offset_rate(index, duals) == 0.0
+    index.bind_duals(duals)
+    assert index.offset_rate() == 0.0
 
 
 def test_offset_rate_direct_formula():
@@ -47,7 +46,8 @@ def test_offset_rate_direct_formula():
     index = build_arc_index(table, sets, inst.capacity)
     duals = DualSolution(pi={1: 8.0, 2: 11.0})
     # arc 2 -> {1} -> sink costs 13, demand 3, reduced cost 13-8-11 = -6
-    assert compute_offset_rate(index, duals) == pytest.approx(2.0, abs=0)
+    index.bind_duals(duals)
+    assert index.offset_rate() == pytest.approx(2.0, abs=0)
 
 
 def test_offset_rate_matches_scan_oracle():
@@ -56,7 +56,8 @@ def test_offset_rate_matches_scan_oracle():
         inst, cm, sets, table = _setup(900 + trial, 6, 6, 3)
         index = build_arc_index(table, sets, inst.capacity)
         duals = _rand_duals(inst, cm, rnd)
-        got = compute_offset_rate(index, duals)
+        index.bind_duals(duals)
+        got = index.offset_rate()
         worst = math.inf
         for u in inst.customers:
             for mask in table.subsets[u]:
@@ -81,7 +82,8 @@ def test_post_offset_weights_nonnegative():
                     augment_ng(sets, u, v)
         index = build_arc_index(table, sets, inst.capacity)
         duals = _rand_duals(inst, cm, rnd, scale=3.0)
-        rate = compute_offset_rate(index, duals)
+        index.bind_duals(duals)
+        rate = index.offset_rate()
         # exhaustive edge scan over every reachable bucket
         for u in inst.customers:
             for m1 in range(1 << inst.n):
@@ -167,11 +169,11 @@ def test_heuristic_exact_on_empty_graph():
     # monotone: more capacity can only help
     for u in inst.customers:
         for d1 in range(inst.demand[u], inst.capacity):
-            assert h.value(u, d1 + 1) <= h.value(u, d1) + 1e-12
+            assert h.h[u, d1 + 1] <= h.h[u, d1] + 1e-12
     # h at full capacity completes a source edge into the optimal route value
     res = solve_la_pricing(inst, sets, table, duals)
     want = min(
-        cm.cost(-1, u) + duals.pi0 + h.value(u, inst.capacity)
+        cm.cost(-1, u) + duals.pi0 + h.h[u, inst.capacity]
         for u in inst.customers
     )
     assert res.reduced_cost == pytest.approx(want, abs=1e-9)
@@ -186,7 +188,7 @@ def test_heuristic_single_customer_capacity():
         d = inst.demand[u]
         # with exactly the customer's own demand left, only the direct leg fits
         direct = cm.cost(u, -2) - duals.value(u)
-        assert h.value(u, d) == pytest.approx(direct, abs=1e-9)
+        assert h.h[u, d] == pytest.approx(direct, abs=1e-9)
 
 
 def test_astar_expands_no_more_than_dijkstra():

@@ -77,20 +77,21 @@ def test_windows_match_group_filter():
             for v, grp in bucket.dirty.items():
                 for m2, zd, w, cap in zip(grp.m2s, grp.zds, grp.costs, grp.caps):
                     if inst.demand[v] <= d - zd <= cap:
-                        want.add((v, index.label_keys.index((v, m2)), d - zd, w, grp.min_cost))
+                        want.add((v, index.label_keys.index((v, m2)), d - zd, w))
             rows, cols = bucket.window(d)
             if cols is None:
                 kinds.add("rows")
-                got = {(v, lab, nz + d, w, gmin)
-                       for lo, hi, v, lab, _, _, nz, w, gmin in rows if lo <= d <= hi}
+                got = {(v, lab, nz + d, w)
+                       for lo, hi, v, lab, _, _, nz, w in rows if lo <= d <= hi}
             else:
                 kinds.add("columns")
-                vs, labs, v_at, lab_at, neg_zds, ws, gmins = (c.tolist() for c in cols)
-                assert len(vs) >= BATCH_MIN
+                labs, v_at, lab_at, neg_zds, ws = (c.tolist() for c in cols)
+                assert len(labs) >= BATCH_MIN
+                vs = [index.label_keys[lab][0] for lab in labs]
                 assert v_at == [v * stride + nz for v, nz in zip(vs, neg_zds)]
                 assert lab_at == [lab * stride + nz for lab, nz in zip(labs, neg_zds)]
-                got = {(v, lab, nz + d, w, gmin)
-                       for v, lab, nz, w, gmin in zip(vs, labs, neg_zds, ws, gmins)}
-                assert len(got) == len(vs)
+                got = {(v, lab, nz + d, w)
+                       for v, lab, nz, w in zip(vs, labs, neg_zds, ws)}
+                assert len(got) == len(labs)
             assert got == want
     assert kinds == {"rows", "columns"}
