@@ -25,12 +25,14 @@ exactly as their global masks do.  Every per-row subset test (M1 filters,
 carried memories, decode) runs on these bits.
 
 ArcIndex owns the dual-dependent view used by one pricing call: arc reduced
-costs, the per-(u, visited-memory) successor buckets consumed by the search,
-and the lazily cached groups keyed by (u, v, M1, M2, demand).  Growing a
-customer's ng set invalidates exactly the cached entries that start or end
-at that customer.  The index also interns the (customer, memory) labels that
-the search uses as distance rows, and each bucket caches, per remaining
-capacity, the window of grown-ng entries that fit it.
+costs (priced for all owners in one pass over a flat copy of the arc rows
+that the index builds once), the per-(u, visited-memory) successor buckets
+consumed by the search, and the lazily cached groups keyed by (u, v, M1,
+M2, demand).  Growing a customer's ng set invalidates exactly the cached
+entries that start or end at that customer.  The index also interns the
+(customer, memory) labels that the search uses as distance rows, and each
+bucket caches, per remaining capacity, the window of grown-ng entries that
+fit it.
 """
 
 from __future__ import annotations
@@ -491,10 +493,8 @@ class ArcIndex:
         self.d0 = capacity
         self.inst = table.inst
         self._duals = None
-        self._cbar: dict[int, np.ndarray] = {}
-        self._base_dense: dict[int, np.ndarray] = {}
-        self._base_sink: dict[int, np.ndarray] = {}
         self._offset_rate: float | None = None
+        self._flatten()
         self._buckets: dict[tuple[int, int], _Bucket] = {}
         # groups shared across buckets: M1 only acts through its overlap with
         # la(u) (arc filtering) and with ng(v) (carried memory)
@@ -519,6 +519,33 @@ class ArcIndex:
 
     # -- duals -------------------------------------------------------------
 
+    def _flatten(self) -> None:
+        """Every owner's arc rows in one dual-independent block, owner by owner.
+
+        Subset ids are made global by offsetting each owner's by the subsets
+        of the owners before it; group starts likewise by the rows before.
+        """
+        table = self.table
+        owners = self.inst.customers
+        rows = [len(table._arc_cost[u]) for u in owners]
+        groups = [len(table._grp_starts[u]) for u in owners]
+        row_off = np.cumsum([0] + rows)
+        sub_off = np.cumsum([0] + [len(table.subsets[u]) for u in owners])
+        self._flat_cost = np.concatenate([table._arc_cost[u] for u in owners])
+        self._flat_subset = (np.concatenate([table._arc_subset[u] for u in owners])
+                             + np.repeat(sub_off[:-1], rows))
+        self._flat_starts = np.concatenate(
+            [table._grp_starts[u] + row_off[i] for i, u in enumerate(owners)])
+        self._flat_grp_zd = np.concatenate([table._grp_zd[u] for u in owners])
+        # (owner, target, demand) of every group, to scatter group minima
+        self._grp_at = (np.repeat(np.array(owners, dtype=np.intp), groups),
+                        np.concatenate([table._grp_v[u] for u in owners]),
+                        self._flat_grp_zd)
+        self._flat_cbar = np.empty_like(self._flat_cost)
+        # _cbar[u]: owner u's rows of the reduced-cost block, as a view
+        self._cbar = [None] + [self._flat_cbar[row_off[i]:row_off[i + 1]]
+                               for i in range(len(owners))]
+
     def bind_duals(self, duals) -> None:
         if duals is self._duals:
             return
@@ -528,28 +555,30 @@ class ArcIndex:
         pi = np.zeros(inst.n + 1)
         for u in inst.customers:
             pi[u] = duals.value(u)
-        worst = np.inf
+        pisums = []
         for u in inst.customers:
             nbrs = table.sets.la(u)
             pis = pi[list(nbrs)] if nbrs else np.zeros(1)
-            subset_pisum = table._subset_indicator[u] @ pis
-            cbar = table._arc_cost[u] - subset_pisum[table._arc_subset[u]] - pi[u]
-            self._cbar[u] = cbar
-            if len(cbar):
-                worst = min(worst, float(np.min(cbar / table._arc_zd[u])))
-            # group minima over (target, demand), ignoring ng sets: this is the
-            # empty-memory view shared by buckets and the search heuristic
-            mins = np.minimum.reduceat(cbar, table._grp_starts[u])
-            gv = table._grp_v[u]
-            gz = table._grp_zd[u]
-            dense = np.full((inst.n + 1, self.d0 + 1), np.inf)
-            cust = gv != _SINK
-            dense[gv[cust], gz[cust]] = mins[cust]
-            sink = np.full(self.d0 + 1, np.inf)
-            sink[gz[~cust]] = mins[~cust]
-            np.minimum.accumulate(sink, out=sink)
-            self._base_dense[u] = dense
-            self._base_sink[u] = sink
+            pisums.append(table._subset_indicator[u] @ pis)
+        # cost - (sum of intermediate duals) - pi_u per arc, in that order
+        cbar = np.take(np.concatenate(pisums), self._flat_subset, out=self._flat_cbar,
+                       mode="clip")  # ids are in range; "raise" would buffer
+        np.subtract(self._flat_cost, cbar, out=cbar)
+        for u in inst.customers:
+            self._cbar[u] -= pi[u]
+        # group minima over (owner, target, demand), ignoring ng sets: this is
+        # the empty-memory view shared by buckets and the search heuristic
+        mins = np.minimum.reduceat(cbar, self._flat_starts)
+        dense = np.full((inst.n + 1, inst.n + 1, self.d0 + 1), np.inf)
+        dense[self._grp_at] = mins
+        # sink groups land in target row _SINK: keep their prefix minima
+        # over demand apart, and no customer edge in that row
+        self._base_sink = np.minimum.accumulate(dense[:, _SINK], axis=1)
+        dense[:, _SINK] = np.inf
+        self._base_dense = dense
+        # a group shares one demand zd >= 1, and rounding is monotone, so the
+        # least cbar / zd over arcs is the least group minimum / zd
+        worst = float(np.min(mins / self._flat_grp_zd))
         self._offset_rate = max(0.0, -worst) if np.isfinite(worst) else 0.0
         self._buckets.clear()
         self._groups.clear()
@@ -765,51 +794,6 @@ class ArcIndex:
         if not len(rows):
             raise RuntimeError("no sink arc fits the remaining capacity")
         return int(rows[np.argmin(self._cbar[u][rows])])
-
-    # -- keyed queries (test surface) ----------------------------------------
-
-    def arcs_for(self, u: int, v: int, m1, m2, d: int) -> list[LaArc]:
-        """Arcs filed under the key (u, v, M1, M2, d).
-
-        M2 must equal ng(v) intersected with (M1 | intermediates | u); sink
-        keys (v == END_DEPOT) match any arc demand up to d.
-        """
-        m1 = m1 if isinstance(m1, int) else mask_of(m1)
-        m2 = m2 if isinstance(m2, int) else mask_of(m2)
-        tkey = self.table._target_key(v)
-        if tkey != _SINK and (m1 >> (v - 1)) & 1:
-            return []
-        ng_v = self.sets.ng_mask(v) if tkey != _SINK else 0
-        ubit = bit(u)
-        out = []
-        bounds = self.table._rows_bounds[u].get(tkey)
-        for row in (range(*bounds) if bounds is not None else ()):
-            zd = int(self.table._arc_zd[u][row])
-            if tkey == _SINK:
-                if zd > d:
-                    continue
-            elif zd != d:
-                continue
-            mask = self.table.row_mask(u, row)
-            if mask & m1:
-                continue
-            if ng_v & (m1 | mask | ubit) != m2:
-                continue
-            out.append(self.table.arc_from_row(u, row))
-        return out
-
-    def lowest_rc_arc(self, u: int, v: int, m1, m2, d: int, duals) -> LaArc | None:
-        """Cheapest arc of the key by reduced cost; None when the key is empty."""
-        arcs = self.arcs_for(u, v, m1, m2, d)
-        best = None
-        best_rc = None
-        for arc in arcs:
-            rc = arc.cost - duals.value(arc.start) - sum(
-                duals.value(w) for w in arc.intermediates
-            )
-            if best_rc is None or rc < best_rc:
-                best, best_rc = arc, rc
-        return best
 
 
 def build_arc_index(table: ComponentPathTable, sets: NeighborSets, capacity: int) -> ArcIndex:

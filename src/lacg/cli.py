@@ -44,7 +44,7 @@ SPEEDUP_THRESHOLDS = (1, 2, 5, 10, 20, 40, 60)
 
 SUMMARY_FIELDS = (
     "instance", "arm", "status", "objective", "iterations",
-    "total_secs", "pricing_secs", "rmp_secs", "setup_secs",
+    "total_secs", "pricing_secs", "rmp_secs", "setup_secs", "repeated_columns",
 )
 
 
@@ -91,7 +91,7 @@ def cmd_solve(args) -> int:
         w.writerow([
             inst.name, arm, res.status, repr(res.objective), res.iterations,
             f"{res.total_time:.6f}", f"{res.pricing_time:.6f}",
-            f"{res.rmp_time:.6f}", f"{res.setup_time:.6f}",
+            f"{res.rmp_time:.6f}", f"{res.setup_time:.6f}", res.repeated_columns,
         ])
     print(
         f"{inst.name} {arm} {res.status} objective={res.objective:.6f} "
@@ -120,6 +120,11 @@ def cmd_speedup(args) -> int:
     if not runs:
         print(f"error: no summary files in {dirpath}", file=sys.stderr)
         return 2
+    for (name, arm), run in sorted(runs.items()):
+        if run["status"] != "optimal":
+            # times of an unfinished run say nothing about the arm's speed
+            print(f"error: {arm} run for {name} has status {run['status']}", file=sys.stderr)
+            return 2
     arms = sorted({arm for _, arm in runs} - {"la0"})
     instances = sorted({name for name, arm in runs if arm == "la0"})
     if not instances or not arms:

@@ -94,6 +94,10 @@ class CgResult:
     pricing_time: float
     rmp_time: float
     setup_time: float
+    # pricing results already in the pool with negative reduced cost: a pool
+    # column cannot price negative under the duals of an optimal RMP, so a
+    # nonzero count means the duals and pricing disagree
+    repeated_columns: int = 0
 
 
 def solve(inst: Instance, config: CgConfig | None = None) -> CgResult:
@@ -114,6 +118,7 @@ def solve(inst: Instance, config: CgConfig | None = None) -> CgResult:
     sol = None
     duals = DualSolution(pi={}, pi0=0.0)
     it = 0
+    repeated = 0
     while True:
         it += 1
         t0 = time.perf_counter()
@@ -156,7 +161,7 @@ def solve(inst: Instance, config: CgConfig | None = None) -> CgResult:
             if rc >= -config.rc_add_tol:
                 continue
             if route.seq in pool:
-                # a pool column pricing negative would mean inconsistent duals
+                repeated += 1
                 log.warning("pricing returned existing column %s (rc=%g)", route.seq, rc)
                 continue
             pool.add(route.seq)
@@ -184,4 +189,5 @@ def solve(inst: Instance, config: CgConfig | None = None) -> CgResult:
         status=status, objective=sol.objective, columns=columns, theta=sol.theta,
         duals=duals, trace=trace, iterations=it, total_time=total,
         pricing_time=pricing_time, rmp_time=rmp_time, setup_time=setup_time,
+        repeated_columns=repeated,
     )

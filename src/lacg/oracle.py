@@ -10,7 +10,8 @@ can be checked against each other.
 from __future__ import annotations
 
 from .instances import Instance, CostMatrix, cost_matrix, START_DEPOT, END_DEPOT
-from .neighbors import NeighborSets
+from .neighbors import NeighborSets, bit, mask_of
+from .arcs import ComponentPathTable, LaArc
 from .routes import Route, make_route
 from . import simplex
 
@@ -189,3 +190,45 @@ def lp_over_routes(routes, inst: Instance, costs: CostMatrix | None = None,
     if res.status != "optimal":
         raise RuntimeError(f"route LP not optimal: {res.status}")
     return res.objective if exact else float(res.objective)
+
+
+def arcs_for(table: ComponentPathTable, u: int, v: int, m1, m2, d: int) -> list[LaArc]:
+    """Arcs of the table filed under the pricing key (u, v, M1, M2, d), by a
+    scan of u's rows toward v.
+
+    M2 must equal ng(v) intersected with (M1 | intermediates | u); sink
+    keys (v == END_DEPOT) match any arc demand up to d.
+    """
+    m1 = m1 if isinstance(m1, int) else mask_of(m1)
+    m2 = m2 if isinstance(m2, int) else mask_of(m2)
+    sink = v == END_DEPOT
+    if not sink and (m1 >> (v - 1)) & 1:
+        return []
+    ng_v = 0 if sink else table.sets.ng_mask(v)
+    out = []
+    bounds = table._rows_bounds[u].get(table._target_key(v))
+    for row in (range(*bounds) if bounds is not None else ()):
+        zd = int(table._arc_zd[u][row])
+        if (zd > d) if sink else (zd != d):
+            continue
+        mask = table.row_mask(u, row)
+        if mask & m1:
+            continue
+        if ng_v & (m1 | mask | bit(u)) != m2:
+            continue
+        out.append(table.arc_from_row(u, row))
+    return out
+
+
+def lowest_rc_arc(table: ComponentPathTable, u: int, v: int, m1, m2, d: int,
+                  duals) -> LaArc | None:
+    """Cheapest arc of the key by reduced cost; None when the key is empty."""
+    best = None
+    best_rc = None
+    for arc in arcs_for(table, u, v, m1, m2, d):
+        rc = arc.cost - duals.value(arc.start) - sum(
+            duals.value(w) for w in arc.intermediates
+        )
+        if best_rc is None or rc < best_rc:
+            best, best_rc = arc, rc
+    return best

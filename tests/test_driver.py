@@ -4,7 +4,9 @@ import pytest
 
 from lacg.instances import Instance, generate_instance
 from lacg.driver import CgConfig, solve
-from lacg import oracle
+from lacg.dssr import DssrResult
+from lacg.routes import make_route
+from lacg import driver, oracle
 
 
 def test_single_customer_converges_in_one_iteration():
@@ -109,3 +111,21 @@ def test_more_than_63_customers():
     assert all(r.status == "optimal" for r in results.values())
     assert results[5].objective == pytest.approx(results[0].objective, abs=1e-6)
     assert (results[0].iterations, results[5].iterations) == (154, 153)
+
+
+def test_repeated_columns_counted(monkeypatch):
+    inst = generate_instance(38, 7, 4, "unit")
+    assert solve(inst, CgConfig(la_k=2)).repeated_columns == 0
+
+    # pricing that hands back a pool column (a single-customer start
+    # column) with a negative reduced cost: counted, not added
+    def price_pool_route(inst, sets, table, duals, **kwargs):
+        route = make_route([1], inst)
+        return DssrResult(route=route, reduced_cost=-1.0, early_columns=[(route, -1.0)],
+                          iterations=1, exact=True)
+
+    monkeypatch.setattr(driver, "price_elementary", price_pool_route)
+    res = solve(inst, CgConfig(la_k=2))
+    assert res.status == "stalled"
+    assert res.repeated_columns == 1
+    assert res.iterations == 1 and res.trace.rows[0].columns_added == 0

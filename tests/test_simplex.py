@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from lacg.simplex import solve_lp
 
 
@@ -77,3 +79,26 @@ def test_degenerate_lp_terminates():
     res = solve_lp([1, 1], A, senses, b)
     assert res.status == "optimal"
     assert abs(res.objective - 1.0) < 1e-9
+
+
+def test_ndarray_matrix_matches_lists():
+    # the RMP passes its cover block as a float array; the same LP given as
+    # lists must give the same floats bit for bit.  Costs and coefficients
+    # repeat, so entering and ratio-test ties occur.
+    rnd = random.Random(21)
+    for _ in range(40):
+        m = rnd.randint(2, 8)
+        n = rnd.randint(m, 20)
+        c = [float(rnd.choice([3, 5, 5, 8])) for _ in range(n)]
+        A = [[rnd.choice([0, 0, 1, 1, 2]) for _ in range(n)] for _ in range(m)]
+        for row in A:
+            row[rnd.randrange(n)] = 1  # every row coverable
+        A.append([1] * n)
+        senses = [">="] * m + ["<="]
+        b = [1] * m + [m]
+        got = solve_lp(c, np.array(A, dtype=float), senses, b)
+        want = solve_lp(c, A, senses, b)
+        assert got.status == want.status == "optimal"
+        assert float(got.objective).hex() == float(want.objective).hex()
+        assert [float(v).hex() for v in got.x] == [float(v).hex() for v in want.x]
+        assert [float(v).hex() for v in got.duals] == [float(v).hex() for v in want.duals]
