@@ -6,23 +6,26 @@ and services a chosen subset of u's la neighbors in between.  Arc membership
 and ordering never depend on the duals, so the whole table is built once per
 (instance, la size) and reused across every pricing call.
 
-Three dynamic-programming layers (subsets encoded as global customer
-bitmasks, bit u-1 for customer u):
+Each owner u runs one subset dynamic program (Held & Karp), forward by
+subset size, over la(u)-local bits: bit j stands for la(u)[j].  la(u) is
+sorted and has at most MAX_LA_SIZE members, so the bits fit a uint32 for any
+number of customers, and local masks order subsets exactly as their global
+masks do.  Its three layers are each one numpy minimum over an axis:
 
-  inner  (S, v, w) : cheapest path visiting exactly the set S, from v to w,
-                     v, w in S.  Independent of which customer's neighborhood
-                     S came from, so the memo is shared globally.
-  start  (u, S, w) : cheapest path from u over all of S ending at w.
-  arc    (u, S, v) : cheapest path from u over all of S ending at target v.
+  seg  (S, v, w) : cheapest path visiting exactly S, from v to w, v, w in S:
+                   min over y of c(v, y) + seg(S - v, y, w).
+  head (S, w)    : cheapest path from u over all of S ending at w:
+                   min over v of c(u, v) + seg(S, v, w).
+  arc  (S, t)    : cheapest path from u over all of S ending at target t:
+                   min over w of head(S, w) + c(w, t).
 
-Subsets whose demand cannot fit in a vehicle alongside u are skipped: such
-arcs could never appear in a feasible route.
-
-Each arc row also stores its subset as la(u)-local bits: bit j stands for
-la(u)[j].  la(u) is sorted and has at most MAX_LA_SIZE members, so the bits
-fit a uint32 for any number of customers, and local masks order subsets
-exactly as their global masks do.  Every per-row subset test (M1 filters,
-carried memories, decode) runs on these bits.
+The first minimum wins, so among equal-cost paths seg and head keep the
+lexicographically smallest; tied arc candidates end at different w, so the arc
+layer compares their paths.  Every owner sums the same costs in the same
+order, so a subset's seg costs agree across owners bit for bit.  Subsets whose
+demand cannot fit in a vehicle alongside u are skipped: such arcs could never
+appear in a feasible route.  Each arc row stores its subset's local bits, and
+every per-row subset test (M1 filters, carried memories, decode) runs on them.
 
 ArcIndex owns the dual-dependent view used by one pricing call: arc reduced
 costs (priced for all owners in one pass over a flat copy of the arc rows
@@ -38,7 +41,6 @@ fit it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -69,7 +71,19 @@ class LaArc:
 
 
 class ComponentPathTable:
-    """All inner/start/arc layers for one instance and fixed la sets."""
+    """Arc rows of one instance and fixed la sets, and the subset DP behind them.
+
+    Per owner u, with k = |la(u)|, subset ids i and local indices v, w:
+      subsets[u]      global masks of the capacity-feasible subsets of la(u),
+                      by size, then in itertools.combinations order
+      _pos[u]         (2**k,) subset id of each local mask, -1 if infeasible
+      _seg_cost[u]    (subsets, k, k) seg(i, v, w); +inf where v or w is not a
+                      member, or v == w in a subset of two or more
+      _seg_next[u]    int8, the customer after v on that path
+      _head_cost[u]   (subsets, k + 1) head(i, w); column k is u itself, which
+                      only the empty subset reaches, at cost 0
+      _head_first[u]  int8, the customer after u on that path
+    """
 
     def __init__(self, inst: Instance, sets: NeighborSets, costs: CostMatrix | None = None):
         for u in inst.customers:
@@ -82,12 +96,15 @@ class ComponentPathTable:
         self.sets = sets
         self.costs = costs or cost_matrix(inst)
         self._mask_demand: dict[int, int] = {0: 0}
-        self._inner: dict[tuple[int, int, int], tuple[float, int | None]] = {}
-        self._start: dict[tuple[int, int, int], tuple[float, int | None]] = {}
         self.subsets: dict[int, list[int]] = {}
-        self._arc_v: dict[int, np.ndarray] = {}
         self._la_pos = {u: {w: 1 << j for j, w in enumerate(sets.la(u))}
                         for u in inst.customers}
+        self._pos: dict[int, np.ndarray] = {}
+        self._seg_cost: dict[int, np.ndarray] = {}
+        self._seg_next: dict[int, np.ndarray] = {}
+        self._head_cost: dict[int, np.ndarray] = {}
+        self._head_first: dict[int, np.ndarray] = {}
+        self._arc_v: dict[int, np.ndarray] = {}
         self._arc_local: dict[int, np.ndarray] = {}
         self._arc_subset: dict[int, np.ndarray] = {}
         self._arc_zd: dict[int, np.ndarray] = {}
@@ -99,7 +116,8 @@ class ComponentPathTable:
         self._grp_v: dict[int, np.ndarray] = {}
         self._grp_zd: dict[int, np.ndarray] = {}
         self._subset_indicator: dict[int, np.ndarray] = {}
-        self._build()
+        for u in inst.customers:
+            self._build(u)
 
     # -- helpers -----------------------------------------------------------
 
@@ -110,9 +128,6 @@ class ComponentPathTable:
             got = self.mask_demand(mask ^ low) + self.inst.demand[low.bit_length()]
             self._mask_demand[mask] = got
         return got
-
-    def _c(self, a: int, b: int) -> float:
-        return self.costs.m[self.costs.index(a), self.costs.index(b)]
 
     def to_local(self, u: int, mask: int) -> int:
         """la(u)-local bits of a global mask; members outside la(u) drop out."""
@@ -137,188 +152,165 @@ class ComponentPathTable:
 
     # -- construction ------------------------------------------------------
 
-    def _enumerate_subsets(self):
-        cap = self.inst.capacity
-        all_masks: set[int] = set()
-        for u in self.inst.customers:
-            budget = cap - self.inst.demand[u]
-            subsets = [0]
-            nbrs = self.sets.la(u)
-            for size in range(1, len(nbrs) + 1):
-                for combo in combinations(nbrs, size):
-                    m = mask_of(combo)
-                    if self.mask_demand(m) <= budget:
-                        subsets.append(m)
-            self.subsets[u] = subsets
-            all_masks.update(m for m in subsets if m)
-        return sorted(all_masks, key=lambda m: (m.bit_count(), m))
-
-    def _build_inner(self, masks):
-        inner = self._inner
-        m = self.costs.m  # customers index as themselves
-        c = lambda a, b: m[a, b]
-        for mask in masks:
-            members = ids_of(mask)
-            if len(members) == 1:
-                v = members[0]
-                inner[(mask, v, v)] = (0.0, None)
-                continue
-            if len(members) == 2:
-                a, b = members
-                inner[(mask, a, b)] = (c(a, b), None)
-                inner[(mask, b, a)] = (c(b, a), None)
-                continue
-            for v in members:
-                sub = mask ^ bit(v)
-                for w in members:
-                    if w == v:
-                        continue
-                    best = None
-                    best_y = None
-                    for y in members:
-                        if y == v or y == w:
-                            continue
-                        cand = c(v, y) + inner[(sub, y, w)][0]
-                        if best is None or cand < best:
-                            best, best_y = cand, y
-                        elif cand == best:
-                            old = (v,) + self.inner_path(sub, best_y, w)
-                            new = (v,) + self.inner_path(sub, y, w)
-                            if new < old:
-                                best_y = y
-                    inner[(mask, v, w)] = (best, best_y)
-
-    def _build_start(self):
-        start = self._start
-        inner = self._inner
-        m = self.costs.m
-        c = lambda a, b: m[a, b]
-        for u in self.inst.customers:
-            for mask in self.subsets[u]:
-                if mask == 0:
-                    start[(u, 0, u)] = (0.0, None)
-                    continue
-                members = ids_of(mask)
-                if len(members) == 1:
-                    w = members[0]
-                    start[(u, mask, w)] = (c(u, w), None)
-                    continue
-                for w in members:
-                    best = None
-                    best_v = None
-                    for v in members:
-                        if v == w:
-                            continue
-                        cand = c(u, v) + inner[(mask, v, w)][0]
-                        if best is None or cand < best:
-                            best, best_v = cand, v
-                        elif cand == best:
-                            old = self.inner_path(mask, best_v, w)
-                            new = self.inner_path(mask, v, w)
-                            if new < old:
-                                best_v = v
-                    start[(u, mask, w)] = (best, best_v)
-
-    def _build_arcs(self):
+    def _build(self, u: int) -> None:
+        """Owner u's subsets, subset DP and arc rows, all in la(u)-local bits."""
         inst = self.inst
         cm = self.costs
-        for u in inst.customers:
-            excluded = set(self.sets.la(u)) | {u}
-            targets = [v for v in inst.customers if v not in excluded]
-            t_idx = np.array([cm.index(v) for v in targets] + [cm.index(END_DEPOT)],
-                             dtype=np.intp)
-            t_ids = np.array(targets + [_SINK], dtype=np.int32)
-            T = len(t_ids)
-            subsets = self.subsets[u]
-            n_sub = len(subsets)
-            zd_per_subset = np.array(
-                [inst.demand[u] + self.mask_demand(m) for m in subsets], dtype=np.int32
-            )
-            cost_chunks = []
-            wstar_chunks = []
-            for s_idx, mask in enumerate(subsets):
-                if mask == 0:
-                    vals = cm.m[cm.index(u), t_idx]
-                    wstars = np.full(T, u, dtype=np.int32)
-                else:
-                    members = ids_of(mask)
-                    sc = np.array([self._start[(u, mask, w)][0] for w in members])
-                    m_idx = np.array(members, dtype=np.intp)
-                    grid = sc[:, None] + cm.m[np.ix_(m_idx, t_idx)]
-                    pick = np.argmin(grid, axis=0)
-                    vals = grid[pick, np.arange(T)]
-                    wstars = m_idx[pick].astype(np.int32)
-                    ties = (grid == vals[None, :]).sum(axis=0)
-                    for col in np.nonzero(ties > 1)[0]:
-                        tied = [members[r] for r in np.nonzero(grid[:, col] == vals[col])[0]]
-                        wstars[col] = min(
-                            tied, key=lambda w: self.start_path(u, mask, w)
-                        )
-                cost_chunks.append(vals)
-                wstar_chunks.append(wstars)
-            av_np = np.tile(t_ids, n_sub)
-            azd_np = np.repeat(zd_per_subset, T)
-            # keep arc rows sorted by (target, demand) so per-call group
-            # minima are a single reduceat over contiguous slices
-            perm = np.lexsort((azd_np, av_np))
-            av_np = av_np[perm]
-            azd_np = azd_np[perm]
-            self._arc_v[u] = av_np
-            self._arc_zd[u] = azd_np
-            self._arc_subset[u] = np.repeat(
-                np.arange(n_sub, dtype=np.int32), T
-            )[perm]
-            self._arc_cost[u] = np.concatenate(cost_chunks)[perm]
-            self._arc_wstar[u] = np.concatenate(wstar_chunks)[perm]
-            key = av_np.astype(np.int64) * (inst.capacity + 1) + azd_np
-            starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-            self._grp_starts[u] = starts
-            self._grp_v[u] = av_np[starts]
-            self._grp_zd[u] = azd_np[starts]
-            vstarts = np.flatnonzero(np.r_[True, av_np[1:] != av_np[:-1]])
-            vbounds = np.r_[vstarts, len(av_np)]
-            self._rows_bounds[u] = {
-                int(av_np[vstarts[i]]): (int(vbounds[i]), int(vbounds[i + 1]))
-                for i in range(len(vstarts))
-            }
-            local = np.array([self.to_local(u, m) for m in subsets], dtype=np.uint32)
-            self._arc_local[u] = np.repeat(local, T)[perm]
-            j = np.arange(max(1, len(self.sets.la(u))), dtype=np.uint32)
-            self._subset_indicator[u] = ((local[:, None] >> j) & 1).astype(float)
+        m = cm.m  # customers index as themselves
+        nbrs = self.sets.la(u)
+        k = len(nbrs)
+        la = np.array(nbrs, dtype=np.intp)
+        members = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+        demand = members @ np.array([inst.demand[w] for w in nbrs], dtype=np.int64)
+        size = members.sum(axis=1)
+        # combinations order is lexicographic over ascending local indices,
+        # that is descending order of the bit-reversed mask
+        order = np.lexsort((-(members @ (1 << np.arange(k)[::-1])), size))
+        local = order[demand[order] <= inst.capacity - inst.demand[u]]
+        n_sub = len(local)
+        pos = np.full(1 << k, -1, dtype=np.int32)
+        pos[local] = np.arange(n_sub)
 
-    def _build(self):
-        masks = self._enumerate_subsets()
-        self._build_inner(masks)
-        self._build_start()
-        self._build_arcs()
+        # non-members stay +inf, so each minimum runs over members only
+        c_la = m[np.ix_(la, la)]
+        seg = np.full((n_sub, k, k), np.inf)
+        nxt = np.zeros((n_sub, k, k), dtype=np.int8)
+        ones = np.flatnonzero(size[local] == 1)
+        only = np.log2(local[ones]).astype(np.intp)
+        seg[ones, only, only] = 0.0
+        for s in range(2, k + 1):
+            layer = np.flatnonzero(size[local] == s)
+            for v in range(k):
+                rows = layer[(local[layer] >> v) & 1 == 1]
+                cand = c_la[v][None, :, None] + seg[pos[local[rows] ^ (1 << v)]]
+                nxt[rows, v] = cand.argmin(axis=1)
+                seg[rows, v] = cand.min(axis=1)
+        head = np.full((n_sub, k + 1), np.inf)
+        first = np.zeros((n_sub, k + 1), dtype=np.int8)
+        head[0, k] = 0.0
+        if k:
+            cand = m[u, la][None, :, None] + seg
+            first[:, :k] = cand.argmin(axis=1)
+            head[:, :k] = cand.min(axis=1)
+        self._pos[u] = pos
+        self._seg_cost[u] = seg
+        self._seg_next[u] = nxt
+        self._head_cost[u] = head
+        self._head_first[u] = first
+
+        excluded = set(nbrs) | {u}
+        targets = [v for v in inst.customers if v not in excluded]
+        t_idx = np.array([cm.index(v) for v in targets] + [cm.index(END_DEPOT)],
+                         dtype=np.intp)
+        t_ids = np.array(targets + [_SINK], dtype=np.int32)
+        T = len(t_ids)
+        ends = np.r_[la, u]
+        grid = head[:, :, None] + m[np.ix_(ends, t_idx)]
+        cost = grid.min(axis=1)
+        wstar = ends[grid.argmin(axis=1)].astype(np.int32)
+        tied = (grid == cost[:, None, :]).sum(axis=1) > 1
+        for i, col in zip(*np.nonzero(tied)):
+            lm = int(local[i])
+            wstar[i, col] = min(
+                ends[np.flatnonzero(grid[i, :, col] == cost[i, col])],
+                key=lambda w: self._head_path(u, lm, int(w)),
+            )
+        av_np = np.tile(t_ids, n_sub)
+        azd_np = np.repeat((inst.demand[u] + demand[local]).astype(np.int32), T)
+        # keep arc rows sorted by (target, demand) so per-call group
+        # minima are a single reduceat over contiguous slices
+        perm = np.lexsort((azd_np, av_np))
+        av_np = av_np[perm]
+        azd_np = azd_np[perm]
+        self._arc_v[u] = av_np
+        self._arc_zd[u] = azd_np
+        self._arc_subset[u] = np.repeat(
+            np.arange(n_sub, dtype=np.int32), T
+        )[perm]
+        self._arc_cost[u] = cost.ravel()[perm]
+        self._arc_wstar[u] = wstar.ravel()[perm]
+        key = av_np.astype(np.int64) * (inst.capacity + 1) + azd_np
+        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        self._grp_starts[u] = starts
+        self._grp_v[u] = av_np[starts]
+        self._grp_zd[u] = azd_np[starts]
+        vstarts = np.flatnonzero(np.r_[True, av_np[1:] != av_np[:-1]])
+        vbounds = np.r_[vstarts, len(av_np)]
+        self._rows_bounds[u] = {
+            int(av_np[vstarts[i]]): (int(vbounds[i]), int(vbounds[i + 1]))
+            for i in range(len(vstarts))
+        }
+        local = local.astype(np.uint32)
+        self.subsets[u] = [self.to_global(u, lm) for lm in local.tolist()]
+        self._arc_local[u] = np.repeat(local, T)[perm]
+        j = np.arange(max(1, k), dtype=np.uint32)
+        self._subset_indicator[u] = ((local[:, None] >> j) & 1).astype(float)
 
     # -- lookups -----------------------------------------------------------
 
+    def _subset_id(self, u: int, mask: int) -> int:
+        """Id of a global mask among u's subsets, -1 if u has no such subset."""
+        if mask & ~self.sets.la_mask(u):
+            return -1
+        return int(self._pos[u][self.to_local(u, mask)])
+
+    def _owner(self, mask: int) -> tuple[int, int]:
+        """Some owner whose subsets hold `mask`, and the mask's id there;
+        all owners holding it have the same seg costs for it."""
+        for u in self.inst.customers:
+            i = self._subset_id(u, mask)
+            if i >= 0:
+                return u, i
+        raise KeyError(mask)
+
+    def _index(self, u: int, w: int) -> int:
+        """Local index of w in la(u); for u itself, len(la(u))."""
+        return len(self.sets.la(u)) if w == u else self._la_pos[u][w].bit_length() - 1
+
+    def _seg_path(self, u: int, local: int, v: int, w: int) -> tuple[int, ...]:
+        """Customers of the cheapest path over la(u)-local bits `local` from
+        local index v to local index w."""
+        nbrs = self.sets.la(u)
+        pos = self._pos[u]
+        nxt = self._seg_next[u]
+        path = [nbrs[v]]
+        while local & (local - 1):
+            y = int(nxt[pos[local], v, w])
+            local ^= 1 << v
+            v = y
+            path.append(nbrs[v])
+        return tuple(path)
+
+    def _head_path(self, u: int, local: int, w: int) -> tuple[int, ...]:
+        """The cheapest path from u over la(u)-local bits `local` to customer w."""
+        if not local:
+            return (u,)
+        j = self._index(u, w)
+        v = int(self._head_first[u][self._pos[u][local], j])
+        return (u,) + self._seg_path(u, local, v, j)
+
     def inner_cost(self, subset, v: int, w: int) -> float:
         mask = subset if isinstance(subset, int) else mask_of(subset)
-        return self._inner[(mask, v, w)][0]
+        u, i = self._owner(mask)
+        return float(self._seg_cost[u][i, self._index(u, v), self._index(u, w)])
 
     def inner_path(self, subset, v: int, w: int) -> tuple[int, ...]:
         mask = subset if isinstance(subset, int) else mask_of(subset)
-        if mask.bit_count() == 1:
-            return (v,)
-        if mask.bit_count() == 2:
-            return (v, w)
-        y = self._inner[(mask, v, w)][1]
-        return (v,) + self.inner_path(mask ^ bit(v), y, w)
+        u, _ = self._owner(mask)
+        return self._seg_path(u, self.to_local(u, mask), self._index(u, v), self._index(u, w))
 
     def start_cost(self, u: int, subset, w: int) -> float:
         mask = subset if isinstance(subset, int) else mask_of(subset)
-        return self._start[(u, mask, w)][0]
+        i = self._subset_id(u, mask)
+        if i < 0:
+            raise KeyError(mask)
+        return float(self._head_cost[u][i, self._index(u, w)])
 
     def start_path(self, u: int, subset, w: int) -> tuple[int, ...]:
         mask = subset if isinstance(subset, int) else mask_of(subset)
-        if mask == 0:
-            return (u,)
-        if mask.bit_count() == 1:
-            return (u, w)
-        v = self._start[(u, mask, w)][1]
-        return (u,) + self.inner_path(mask, v, w)
+        if self._subset_id(u, mask) < 0:
+            raise KeyError(mask)
+        return self._head_path(u, self.to_local(u, mask), w)
 
     def _target_key(self, v: int) -> int:
         return _SINK if v == END_DEPOT else v
@@ -353,9 +345,8 @@ class ComponentPathTable:
     def arc_from_row(self, u: int, row: int) -> LaArc:
         v = int(self._arc_v[u][row])
         end = END_DEPOT if v == _SINK else v
-        mask = self.row_mask(u, row)
         w = int(self._arc_wstar[u][row])
-        path = self.start_path(u, mask, w) + (end,)
+        path = self._head_path(u, int(self._arc_local[u][row]), w) + (end,)
         return LaArc(
             start=u,
             end=end,
