@@ -6,7 +6,14 @@ Subcommands
     speedup       aggregate factor speed-ups of la-k arms over the la0 baseline
     oracle-suite  quick brute-force self-checks on tiny instances
 
-Exit codes: 0 success, 1 failed checks, 2 validation error.
+Exit codes: 0 success, 1 failed checks, 2 validation error.  `solve` exits
+by the run's status:
+    optimal     0  the LP optimum over elementary routes, certified by an
+                   exact pricing round
+    stalled     1  a failed self-check: pricing found a negative reduced
+                   cost but no new column to add
+    time_limit  3  stopped by --time-limit before optimality; the files hold
+                   the last restricted master
 """
 
 from __future__ import annotations
@@ -41,6 +48,8 @@ DATASET2 = [
 ]
 
 SPEEDUP_THRESHOLDS = (1, 2, 5, 10, 20, 40, 60)
+
+SOLVE_EXIT = {"optimal": 0, "stalled": 1, "time_limit": 3}
 
 SUMMARY_FIELDS = (
     "instance", "arm", "status", "objective", "iterations",
@@ -93,12 +102,14 @@ def cmd_solve(args) -> int:
             f"{res.total_time:.6f}", f"{res.pricing_time:.6f}",
             f"{res.rmp_time:.6f}", f"{res.setup_time:.6f}", res.repeated_columns,
         ])
+    rows = res.trace.rows
     print(
         f"{inst.name} {arm} {res.status} objective={res.objective:.6f} "
         f"iterations={res.iterations} total={res.total_time:.3f}s "
-        f"pricing={res.pricing_time:.3f}s rmp={res.rmp_time:.3f}s"
+        f"pricing={res.pricing_time:.3f}s rmp={res.rmp_time:.3f}s "
+        f"pivots={sum(r.pivots for r in rows)} replayed={sum(r.replayed for r in rows)}"
     )
-    return 0
+    return SOLVE_EXIT[res.status]
 
 
 def _read_summaries(dirpath: Path) -> dict[tuple[str, str], dict]:

@@ -25,6 +25,7 @@ from .routes import DualSolution
 from .arcs import compute_component_paths, ArcIndex
 from .dssr import price_elementary
 from .rmp import Column, make_column, initial_columns, solve_rmp, lagrangian_bound
+from .simplex import Replay
 
 log = logging.getLogger(__name__)
 
@@ -56,12 +57,14 @@ class TraceRow:
     dssr_iterations: int
     nodes_expanded: int
     columns_added: int
+    pivots: int  # RMP simplex pivots on the full tableau
+    replayed: int  # RMP simplex pivots taken from the replay record
 
 
 # wall times are excluded on purpose: trace files must be reproducible
 TRACE_CSV_FIELDS = (
     "iteration", "rmp_objective", "min_reduced_cost", "lagrangian_bound",
-    "dssr_iterations", "nodes_expanded", "columns_added",
+    "dssr_iterations", "nodes_expanded", "columns_added", "pivots", "replayed",
 )
 
 
@@ -77,7 +80,7 @@ class CgTrace:
                 w.writerow([
                     r.iteration, repr(r.rmp_objective), repr(r.min_reduced_cost),
                     repr(r.lagrangian_bound), r.dssr_iterations,
-                    r.nodes_expanded, r.columns_added,
+                    r.nodes_expanded, r.columns_added, r.pivots, r.replayed,
                 ])
 
 
@@ -119,10 +122,11 @@ def solve(inst: Instance, config: CgConfig | None = None) -> CgResult:
     duals = DualSolution(pi={}, pi0=0.0)
     it = 0
     repeated = 0
+    replay = Replay()  # each RMP only appends columns to the previous one
     while True:
         it += 1
         t0 = time.perf_counter()
-        sol = solve_rmp(columns, inst.n, inst.fleet)
+        sol = solve_rmp(columns, inst.n, inst.fleet, replay=replay)
         t1 = time.perf_counter()
         rmp_time += t1 - t0
         if sol.status != "optimal":
@@ -146,7 +150,7 @@ def solve(inst: Instance, config: CgConfig | None = None) -> CgResult:
                 iteration=it, rmp_objective=sol.objective, min_reduced_cost=min_rc,
                 lagrangian_bound=bound, pricing_time=t2 - t1, rmp_time=t1 - t0,
                 dssr_iterations=res.iterations, nodes_expanded=res.nodes_expanded,
-                columns_added=0,
+                columns_added=0, pivots=sol.pivots, replayed=sol.replayed,
             ))
             status = "optimal"
             break
@@ -171,7 +175,7 @@ def solve(inst: Instance, config: CgConfig | None = None) -> CgResult:
             iteration=it, rmp_objective=sol.objective, min_reduced_cost=min_rc,
             lagrangian_bound=bound, pricing_time=t2 - t1, rmp_time=t1 - t0,
             dssr_iterations=res.iterations, nodes_expanded=res.nodes_expanded,
-            columns_added=added,
+            columns_added=added, pivots=sol.pivots, replayed=sol.replayed,
         ))
         if added == 0:
             log.warning("no column added despite negative reduced cost; stopping")

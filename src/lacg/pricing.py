@@ -80,20 +80,15 @@ def compute_heuristic(inst: Instance, sets: NeighborSets, table: ComponentPathTa
     index = index or ArcIndex(table, sets, inst.capacity)
     index.bind_duals(duals)
     n, d0 = inst.n, inst.capacity
-    dense = index._base_dense  # group minima over all arcs: the empty-memory view
-    sink = index._base_sink
+    dense = index._base_dense[1:, 1:]  # group minima over all arcs: the empty-memory view
+    sink = index._base_sink[1:]
+    # short[u - 1, d]: u's demand does not fit in remaining capacity d
+    short = np.array([inst.demand[u] for u in inst.customers])[:, None] > np.arange(d0 + 1)
     h = np.full((n + 1, d0 + 1), np.inf)
     for d in range(1, d0 + 1):
-        for u in inst.customers:
-            if d < inst.demand[u]:
-                continue
-            best = sink[u][d]
-            if d >= 2:
-                grid = dense[u][1:, 1:d + 1] + h[1:, d - 1::-1]
-                m = float(grid.min()) if grid.size else np.inf
-                if m < best:
-                    best = m
-            h[u, d] = best
+        # best first arc (u -> v with demand zd) plus h[v, d - zd], per owner u
+        m = (dense[:, :, 1:d + 1] + h[1:, d - 1::-1][None]).min(axis=(1, 2))
+        h[1:, d] = np.where(short[:, d], np.inf, np.where(m < sink[:, d], m, sink[:, d]))
     return HeuristicTable(h=h)
 
 

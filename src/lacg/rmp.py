@@ -7,11 +7,14 @@
 
 Cover coefficients are visit counts so the same formula prices relaxed
 (non-elementary) routes.  Each call scatters the columns' visit counts into a
-dense float block (work proportional to the nonzeros) and re-solves the LP
-from scratch with the bundled simplex; exact=True switches to rational
-arithmetic.  A from-scratch solve is a function of the column list alone, so
-a run's duals, and with them its whole CG trajectory, repeat exactly; a warm
-start from the last basis may stop at another optimal dual vertex.
+dense float block (work proportional to the nonzeros) and solves the LP with
+the bundled simplex; exact=True switches to rational arithmetic.  The result
+is a function of the column list alone, so a run's duals, and with them its
+whole CG trajectory, repeat exactly.  Given a `simplex.Replay`, a call whose
+columns extend the previous call's replays that solve's pivots on the new
+columns alone until a pivot choice differs; the result is bit for bit the
+from-scratch one.  A warm start from the last basis is not used: it may stop
+at another optimal dual vertex.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ class RmpSolution:
     theta: list[float]
     objective: float
     duals: DualSolution
+    pivots: int = 0  # simplex pivots on the full tableau
+    replayed: int = 0  # simplex pivots taken from the replay record
 
 
 def make_column(route: Route, costs: CostMatrix) -> Column:
@@ -52,8 +57,14 @@ def initial_columns(inst: Instance, costs: CostMatrix) -> list[Column]:
     return cols
 
 
-def solve_rmp(columns: list[Column], n: int, K: int, exact: bool = False) -> RmpSolution:
-    """Solve the set-cover LP over `columns` for customers 1..n, K vehicles."""
+def solve_rmp(columns: list[Column], n: int, K: int, exact: bool = False,
+              replay: simplex.Replay | None = None) -> RmpSolution:
+    """Solve the set-cover LP over `columns` for customers 1..n, K vehicles.
+
+    Pass one `simplex.Replay` to every call of a run whose column list only
+    grows: each solve then replays the previous one's pivots on the new
+    columns, with the same result as without it.
+    """
     if not columns:
         raise ValueError("column pool is empty")
     ncols = len(columns)
@@ -66,13 +77,15 @@ def solve_rmp(columns: list[Column], n: int, K: int, exact: bool = False) -> Rmp
     A[n] = 1.0
     senses = [">="] * n + ["<="]
     b = [1] * n + [K]
-    res = simplex.solve_lp(obj, A, senses, b, exact=exact)
+    res = simplex.solve_lp(obj, A, senses, b, exact=exact, replay=replay)
     if res.status != "optimal":
         return RmpSolution(
             status="infeasible",
             theta=[0.0] * ncols,
             objective=float("inf"),
             duals=DualSolution(pi={}, pi0=0.0),
+            pivots=res.pivots,
+            replayed=res.replayed,
         )
     y = res.duals
     pi = {u: max(0.0, float(y[u - 1])) for u in range(1, n + 1)}
@@ -82,6 +95,8 @@ def solve_rmp(columns: list[Column], n: int, K: int, exact: bool = False) -> Rmp
         theta=[float(t) for t in res.x],
         objective=float(res.objective),
         duals=DualSolution(pi=pi, pi0=pi0),
+        pivots=res.pivots,
+        replayed=res.replayed,
     )
 
 

@@ -2,6 +2,7 @@ import csv
 import subprocess
 import sys
 
+from lacg import cli
 from lacg.cli import main, DATASET1, DATASET2
 from lacg.instances import read_instance, generate_instance, write_instance
 
@@ -113,3 +114,31 @@ def test_speedup_refuses_non_optimal_run(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "la5 run for x has status time_limit" in err
     assert not (tmp_path / "speedup.csv").exists()
+
+
+def test_solve_exit_code_time_limit(tmp_path, capsys):
+    inst = generate_instance(4, 7, 4, "unit")
+    ipath = tmp_path / "tiny.txt"
+    write_instance(inst, ipath)
+    out = tmp_path / "r"
+    rc = main(["solve", "--instance", str(ipath), "--time-limit", "0", "--out", str(out)])
+    assert rc == 3
+    with open(next(out.glob("summary_*.csv"))) as f:
+        assert next(csv.DictReader(f))["status"] == "time_limit"
+    printed = capsys.readouterr().out
+    assert "time_limit" in printed and "pivots=" in printed and "replayed=" in printed
+
+
+def test_solve_exit_code_stalled(tmp_path, monkeypatch):
+    real = cli.solve
+
+    def stalled(inst, config):
+        res = real(inst, config)
+        res.status = "stalled"
+        return res
+
+    monkeypatch.setattr(cli, "solve", stalled)
+    inst = generate_instance(4, 7, 4, "unit")
+    ipath = tmp_path / "tiny.txt"
+    write_instance(inst, ipath)
+    assert main(["solve", "--instance", str(ipath), "--out", str(tmp_path / "r")]) == 1

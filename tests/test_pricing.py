@@ -10,6 +10,7 @@ from lacg.routes import DualSolution, reduced_cost, is_la_route
 from lacg.arcs import build_arc_index, compute_component_paths
 from lacg.pricing import compute_heuristic, solve_la_pricing
 from lacg import oracle
+from lacg.rmp import initial_columns, solve_rmp
 
 
 def _setup(seed, n, cap, k, mode="unit"):
@@ -250,3 +251,36 @@ def test_degenerate_graph_matches_direct_labeling():
                     if cand < dp.get((v, rem), math.inf):
                         dp[(v, rem)] = cand
         assert res.reduced_cost == pytest.approx(best, abs=1e-9)
+
+
+def _heuristic_loop(inst, index):
+    """The per-(d, u) loop that compute_heuristic replaced, kept as its reference."""
+    dense, sink = index._base_dense, index._base_sink
+    h = np.full((inst.n + 1, inst.capacity + 1), np.inf)
+    for d in range(1, inst.capacity + 1):
+        for u in inst.customers:
+            if d < inst.demand[u]:
+                continue
+            best = sink[u][d]
+            if d >= 2:
+                grid = dense[u][1:, 1:d + 1] + h[1:, d - 1::-1]
+                m = float(grid.min()) if grid.size else np.inf
+                if m < best:
+                    best = m
+            h[u, d] = best
+    return h
+
+
+@pytest.mark.parametrize("seed,n,cap,mode,k", [
+    (105, 16, 20, "uniform_1_10", 5),
+    (3, 30, 4, "unit", 10),
+    (24, 6, 5, "unit", 2),
+])
+def test_heuristic_matches_reference_loop(seed, n, cap, mode, k):
+    inst, cm, sets, table = _setup(seed, n, cap, k, mode)
+    index = build_arc_index(table, sets, inst.capacity)
+    rnd = random.Random(seed)
+    first = solve_rmp(initial_columns(inst, cm), inst.n, inst.fleet).duals
+    for duals in [first] + [_rand_duals(inst, cm, rnd) for _ in range(3)]:
+        h = compute_heuristic(inst, sets, table, duals, index=index).h
+        assert h.tobytes() == _heuristic_loop(inst, index).tobytes()

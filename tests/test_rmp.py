@@ -1,5 +1,6 @@
 import random
 
+from lacg import driver
 from lacg.instances import generate_instance, cost_matrix
 from lacg.routes import make_route
 from lacg.rmp import Column, make_column, initial_columns, solve_rmp, lagrangian_bound
@@ -106,3 +107,29 @@ def test_exact_mode_matches_float():
     f = solve_rmp(cols, n=4, K=4)
     e = solve_rmp(cols, n=4, K=4, exact=True)
     assert abs(f.objective - e.objective) < 1e-9
+
+
+def test_cg_run_replays_fresh_duals(monkeypatch):
+    # every RMP of a run replays the previous one; each must equal a fresh
+    # solve of its column prefix bit for bit
+    calls = []
+    real = driver.solve_rmp
+
+    def spy(columns, n, K, **kwargs):
+        sol = real(columns, n, K, **kwargs)
+        calls.append((list(columns), sol))
+        return sol
+
+    monkeypatch.setattr(driver, "solve_rmp", spy)
+    inst = generate_instance(105, 16, 20, "uniform_1_10")
+    res = driver.solve(inst, driver.CgConfig(la_k=5))
+    assert res.status == "optimal" and len(calls) == res.iterations
+    assert sum(sol.replayed for _, sol in calls) > 0
+    for columns, sol in calls:
+        fresh = solve_rmp(columns, inst.n, inst.fleet)
+        assert fresh.replayed == 0
+        assert sol.pivots + sol.replayed == fresh.pivots
+        assert repr((sol.objective, sol.theta, sorted(sol.duals.pi.items()), sol.duals.pi0)) \
+            == repr((fresh.objective, fresh.theta, sorted(fresh.duals.pi.items()), fresh.duals.pi0))
+    assert [(r.pivots, r.replayed) for r in res.trace.rows] \
+        == [(sol.pivots, sol.replayed) for _, sol in calls]

@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
-from lacg.simplex import solve_lp
+from lacg import simplex
+from lacg.simplex import Replay, solve_lp
 
 
 def test_basic_min():
@@ -102,3 +105,151 @@ def test_ndarray_matrix_matches_lists():
         assert float(got.objective).hex() == float(want.objective).hex()
         assert [float(v).hex() for v in got.x] == [float(v).hex() for v in want.x]
         assert [float(v).hex() for v in got.duals] == [float(v).hex() for v in want.duals]
+
+
+# -- exact replay -------------------------------------------------------------
+
+
+def _same(got, want):
+    """Bit-for-bit equal results, and the replay accounts for every pivot."""
+    assert got.status == want.status
+    assert np.array(got.x, float).tobytes() == np.array(want.x, float).tobytes()
+    assert np.array([got.objective], float).tobytes() == np.array([want.objective], float).tobytes()
+    assert np.array(got.duals, float).tobytes() == np.array(want.duals, float).tobytes()
+    assert want.replayed == 0
+    assert got.pivots + got.replayed == want.pivots
+
+
+def _cover_lp(columns, m, K):
+    """min cost.theta s.t. every row covered at least once, sum theta <= K."""
+    c = [cost for cost, _ in columns]
+    A = [[cover[i] for _, cover in columns] for i in range(m)] + [[1] * len(columns)]
+    return c, A, [">="] * m + ["<="], [1] * m + [K]
+
+
+@st.composite
+def _growing_cover_lps(draw):
+    m = draw(st.integers(2, 6))
+    K = draw(st.integers(1, m))
+    # few distinct costs and counts, so entering and ratio-test ties occur
+    cost = st.sampled_from([1.0, 2.0, 3.0, 3.0, 4.5])
+    cover = st.lists(st.sampled_from([0, 0, 1, 1, 2]), min_size=m, max_size=m)
+    first = [(draw(cost), [int(i == j) for i in range(m)]) for j in range(m)]
+    later = draw(st.lists(st.lists(st.tuples(cost, cover), min_size=0, max_size=3),
+                          min_size=1, max_size=6))
+    return m, K, [first] + later
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_growing_cover_lps())
+def test_replay_matches_fresh_solves(lp):
+    m, K, batches = lp
+    replay = Replay()
+    columns = []
+    for batch in batches:
+        columns += batch
+        c, A, senses, b = _cover_lp(columns, m, K)
+        _same(solve_lp(c, A, senses, b, replay=replay), solve_lp(c, A, senses, b))
+
+
+def test_replay_follows_an_unchanged_lp_to_the_end():
+    c, A, senses, b = _cover_lp(
+        [(2.0, [1, 0, 0]), (2.0, [0, 1, 0]), (3.0, [0, 0, 1]), (3.0, [1, 1, 0]),
+         (4.0, [0, 1, 1])], 3, 2)
+    replay = Replay()
+    first = solve_lp(c, A, senses, b, replay=replay)
+    again = solve_lp(c, A, senses, b, replay=replay)
+    assert first.replayed == 0 and first.pivots > 0
+    assert again.pivots == 0 and again.replayed == first.pivots
+    _same(again, first)
+
+
+@pytest.fixture
+def divergences(monkeypatch):
+    """(stage, step index) of every replay divergence; stage is phase1, drive or phase2."""
+    seen = []
+    tab = simplex._FloatTableau
+    set_costs, drive_out, diverge = tab.set_costs, tab.drive_out_artificials, tab._diverge
+
+    def on_set_costs(self, costs):
+        self.stage = "phase2" if hasattr(self, "stage") else "phase1"
+        set_costs(self, costs)
+
+    def on_drive_out(self, n_free):
+        self.stage = "drive"
+        drive_out(self, n_free)
+
+    def on_diverge(self):
+        seen.append((self.stage, len(self.steps)))
+        diverge(self)
+
+    monkeypatch.setattr(tab, "set_costs", on_set_costs)
+    monkeypatch.setattr(tab, "drive_out_artificials", on_drive_out)
+    monkeypatch.setattr(tab, "_diverge", on_diverge)
+    return seen
+
+
+# costs, rows, senses (every b_i = 1), then one appended column as (cost,
+# entries) and the (stage, step) where its solve must leave the record.
+# Found by a seeded search over LPs of up to 4 rows.
+DIVERGENCE_CASES = {
+    "pivot 0": ([1.0, 2.0, 2.0], [[0, 1, 0], [1, 0, 1]], [">=", "="],
+                (2.0, [1, 1]), ("phase1", 0)),
+    "mid phase 1": ([2.0, 3.0], [[0, 1], [0, 1], [1, 0], [0, 1]], [">=", "=", ">=", "="],
+                    (2.0, [0, 1, 0, 1]), ("phase1", 1)),
+    "drive-out": ([1.0, 3.0, 1.0], [[1, 1, 1], [0, 1, 1], [1, 1, 1], [1, 1, 1]],
+                  ["=", ">=", "=", ">="], (2.0, [1, 0, 1, 0]), ("drive", 4)),
+    "phase 2": ([3.0, 1.0, 3.0, 1.0], [[1, 0, 1, 1], [1, 1, 1, 1], [1, 1, 0, 0], [1, 1, 1, 1]],
+                [">=", ">=", "=", ">="], (1.0, [0, 1, 1, 0]), ("phase2", 6)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIVERGENCE_CASES))
+def test_replay_divergence(case, divergences):
+    c, A, senses, (cost, entries), where = DIVERGENCE_CASES[case]
+    b = [1] * len(A)
+    replay = Replay()
+    solve_lp(c, A, senses, b, replay=replay)
+    recorded = replay.steps
+    assert divergences == []
+    c2, A2 = c + [cost], [row + [a] for row, a in zip(A, entries)]
+    got = solve_lp(c2, A2, senses, b, replay=replay)
+    assert divergences == [where]
+    stage, k = where
+    # the recorded solve took a pivot at this step: the choice itself differed
+    assert recorded[k][0] >= 0 and recorded[k][1] >= 0
+    _same(got, solve_lp(c2, A2, senses, b))
+    assert 0 < got.pivots and (got.replayed > 0) == (k > 0)
+
+
+def test_replay_runs_cold_when_an_earlier_column_changed():
+    columns = [(2.0, [1, 0, 0]), (2.0, [0, 1, 0]), (3.0, [0, 0, 1]), (3.0, [1, 1, 0])]
+    extra = (2.5, [0, 1, 1])
+    changed = {
+        "cost": [(2.5, [1, 0, 0])] + columns[1:],
+        "entry": [(2.0, [1, 0, 1])] + columns[1:],
+        "removed": columns[1:],
+    }
+    for name, earlier in changed.items():
+        replay = Replay()
+        solve_lp(*_cover_lp(columns, 3, 2), replay=replay)
+        lp = _cover_lp(earlier + [extra], 3, 2)
+        got = solve_lp(*lp, replay=replay)
+        assert got.replayed == 0, name
+        _same(got, solve_lp(*lp))
+        # the cold solve recorded itself: a further extension replays again
+        lp = _cover_lp(earlier + [extra, (9.0, [1, 0, 0])], 3, 2)
+        again = solve_lp(*lp, replay=replay)
+        assert again.replayed > 0, name
+        _same(again, solve_lp(*lp))
+    # a changed right-hand side also runs cold
+    replay = Replay()
+    solve_lp(*_cover_lp(columns, 3, 2), replay=replay)
+    got = solve_lp(*_cover_lp(columns + [extra], 3, 3), replay=replay)
+    assert got.replayed == 0
+    _same(got, solve_lp(*_cover_lp(columns + [extra], 3, 3)))
+
+
+def test_replay_is_float_only():
+    with pytest.raises(ValueError):
+        solve_lp([1], [[1]], [">="], [1], exact=True, replay=Replay())
