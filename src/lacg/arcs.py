@@ -41,6 +41,8 @@ fit it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -380,9 +382,9 @@ BATCH_MIN = 16
 class _Group:
     """Minimum reduced cost per (carried memory, demand) toward one target.
 
-    `rows` holds the same entries laid out for the search, one tuple each:
-    (lo, hi, v, label, v * stride - zd, label * stride - zd, -zd, cost) with
-    stride = d0 + 1.  An entry fits remaining capacity d iff lo <= d <= hi,
+    `rows` holds the same entries laid out for the search, one tuple each and
+    sorted by lo: (lo, hi, v, label, v * stride - zd, label * stride - zd,
+    -zd, cost) with stride = d0 + 1.  An entry fits remaining capacity d iff lo <= d <= hi,
     that is when the landing capacity d - zd covers v's demand and stays
     under the carried memory's capacity ceiling; adding d to the two stride
     terms gives the flat (v, d2) and (label, d2) indices.
@@ -410,20 +412,38 @@ class _Group:
 class _Bucket:
     """Successor view from pricing nodes (u, M1, *): dense weights for
     targets with empty ng sets, per-(M2, demand) groups for the rest, and a
-    prefix-minimum over sink arcs indexed by remaining capacity.  The group
-    entries are also cached per remaining capacity as search windows."""
+    prefix-minimum over sink arcs indexed by remaining capacity.
 
-    __slots__ = ("dense", "dirty", "sink_pref", "pending", "_rows", "_columns", "_windows")
+    Two per-capacity caches serve the best-first search.  `blocks[d]` holds
+    the flattened dense block toward customers from nodes (u, M1, d) and the
+    same block plus the heuristic at each landing node; it is valid for the
+    index's heuristic table and is dropped only when a finite dense row turns
+    +inf.  The group entries are kept as search windows: the scalar rows
+    sorted by lo, so a scan stops at the first entry whose lo exceeds d, and
+    lo-sorted columns for the batched pass."""
+
+    __slots__ = ("dense", "dirty", "sink_pref", "sink", "pending", "blocks",
+                 "_rows", "_columns", "_windows")
 
     def __init__(self, dense, dirty, sink_pref):
         self.dense = dense          # (n+1, d0+1) min reduced cost, +inf if none
         self.dirty = dirty          # v -> _Group
         self.sink_pref = sink_pref  # d -> min reduced cost over sink arcs zd<=d
+        self.sink = sink_pref.tolist()  # the same as Python floats
         self.pending: set[int] = set()  # targets whose groups need a rebuild
+        self.blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.drop_windows()
 
+    def dense_block(self, d: int, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(T, A) from nodes (u, M1, d), cached: A[i * d + j] is the weight
+        toward customer i + 1 with demand j + 1, and T adds h[i + 1] at the
+        landing capacity d - j - 1."""
+        a = self.dense[1:, 1:d + 1]
+        got = self.blocks[d] = ((a + h[1:, d - 1::-1]).ravel(), a.ravel())
+        return got
+
     def drop_windows(self) -> None:
-        self._rows = None      # every dirty entry as a _Group.rows tuple
+        self._rows = None      # every dirty entry as a _Group.rows tuple, by lo
         self._columns = None   # the same, lo-sorted, as arrays
         self._windows: dict[int, tuple] = {}  # d -> window(d)
 
@@ -431,10 +451,10 @@ class _Bucket:
         """Grown-ng entries from nodes (u, M1, d), as (rows, columns).
 
         One of the two is None.  `rows` lists every entry of the bucket as
-        _Group.rows tuples, and the caller skips those outside lo <= d <=
-        hi.  `columns` holds, for exactly the entries that fit d, arrays
-        for the tuple fields from label on: (label, v * stride - zd, label *
-        stride - zd, -zd, cost).
+        _Group.rows tuples sorted by lo; the caller stops at the first lo > d
+        and skips those with hi < d.  `columns` holds, for exactly the
+        entries that fit d, arrays for the tuple fields from label on:
+        (label, v * stride - zd, label * stride - zd, -zd, cost).
 
         Columns come only when at least BATCH_MIN entries fit d and the
         bucket was already searched since its groups last changed: sorting
@@ -442,8 +462,9 @@ class _Bucket:
         """
         rows = self._rows
         if rows is None:
-            self._rows = [row for grp in self.dirty.values() for row in grp.rows]
-            return self._rows, None
+            rows = self._rows = list(chain.from_iterable(g.rows for g in self.dirty.values()))
+            rows.sort(key=itemgetter(0))  # merges the groups' lo-sorted runs
+            return rows, None
         if len(rows) < BATCH_MIN:
             return rows, None
         got = self._windows.get(d)
@@ -474,8 +495,9 @@ class _Bucket:
 class ArcIndex:
     """Reduced-cost view of the arc table for one pricing call.
 
-    bind_duals fixes the duals; successor buckets are built lazily per
-    (u, M1) and stay valid until invalidate() reports grown ng sets.
+    bind_duals fixes the duals and the source edges; successor buckets are
+    built lazily per (u, M1) and stay valid until invalidate() reports grown
+    ng sets.
     """
 
     def __init__(self, table: ComponentPathTable, sets: NeighborSets, capacity: int):
@@ -485,6 +507,7 @@ class ArcIndex:
         self.inst = table.inst
         self._duals = None
         self._offset_rate: float | None = None
+        self._block_h = None  # heuristic table the buckets' dense blocks are for
         self._flatten()
         self._buckets: dict[tuple[int, int], _Bucket] = {}
         # groups shared across buckets: M1 only acts through its overlap with
@@ -571,6 +594,13 @@ class ArcIndex:
         # least cbar / zd over arcs is the least group minimum / zd
         worst = float(np.min(mins / self._flat_grp_zd))
         self._offset_rate = max(0.0, -worst) if np.isfinite(worst) else 0.0
+        # start depot -> u edges, and the best out-and-back route u -> sink
+        # among them as (cost, u): a valid incumbent for every search
+        self.source_edges = [(u, table.costs.cost(-1, u) + duals.pi0) for u in inst.customers]
+        back = self._base_sink[:, self.d0].tolist()
+        self.source_seed = min(((w + back[u], u) for u, w in self.source_edges),
+                               key=itemgetter(0), default=(np.inf, None))
+        self._block_h = None
         self._buckets.clear()
         self._groups.clear()
         self._cores.clear()
@@ -587,6 +617,13 @@ class ArcIndex:
         return self._offset_rate
 
     # -- successor buckets ---------------------------------------------------
+
+    def use_heuristic(self, h: np.ndarray) -> None:
+        """Make the buckets' dense blocks those of heuristic table h."""
+        if h is not self._block_h:
+            for bucket in self._buckets.values():
+                bucket.blocks.clear()
+            self._block_h = h
 
     def successors(self, u: int, m1: int) -> _Bucket:
         key = (u, m1)
@@ -608,8 +645,7 @@ class ArcIndex:
         ng set can meet the arc's customers (la(u), u itself, or M1); only
         that overlap forces it out of the dense matrix.
         """
-        relevant = self.sets.la_mask(u) | bit(u) | m1
-        return [v for v in self.inst.customers if self.sets.ng_mask(v) & relevant]
+        return self.sets.ng_meeting(self.sets.la_mask(u) | bit(u) | m1)
 
     def _core(self, u: int, fkey: int):
         """Group minima over arcs avoiding fkey (= M1 restricted to la(u)).
@@ -710,6 +746,7 @@ class ArcIndex:
             lab = self._label(v, m2)
             rows.append((zd + dv, zd + cap, v, lab, v * stride - zd, lab * stride - zd,
                          -zd, w))
+        rows.sort(key=itemgetter(0))  # so that merging a bucket's groups is cheap
         return _Group(m2s, zds, costs, caps, rows)
 
     def invalidate(self, grown, added: int | None = None) -> None:
@@ -730,13 +767,16 @@ class ArcIndex:
                 del self._groups[gk]
         for (u, m1) in [k for k in self._buckets if k[0] in grown]:
             del self._buckets[(u, m1)]
+        ng = [(v, self.sets.ng_mask(v)) for v in grown]
         for (u, m1), bucket in self._buckets.items():
             reach = self.sets.la_mask(u) | bit(u) | m1
-            for v in grown:
-                if abit is not None and not abit & reach:
-                    continue  # the new memory bit never occurs on arcs from u
-                if not self.sets.ng_mask(v) & reach:
+            if abit is not None and not abit & reach:
+                continue  # the new memory bit never occurs on arcs from u
+            for v, ng_v in ng:
+                if not ng_v & reach:
                     continue  # every arc still lands on memory 0: row stays dense
+                if bucket.blocks and bucket.dense[v].min() < np.inf:
+                    bucket.blocks.clear()  # a finite row leaves the dense blocks
                 bucket.dense[v, :] = np.inf
                 bucket.dirty.pop(v, None)
                 bucket.pending.add(v)

@@ -6,6 +6,12 @@ Subcommands
     speedup       aggregate factor speed-ups of la-k arms over the la0 baseline
     oracle-suite  quick brute-force self-checks on tiny instances
 
+Every subcommand takes --log-level (debug, info, warning, error; default
+warning), the level of the `lacg.*` module loggers, which write to standard
+error.  At warning the driver reports a pricing result that is already a
+pool column; error silences it, and debug adds one line per
+column-generation iteration.
+
 Exit codes: 0 success, 1 failed checks, 2 validation error.  `solve` exits
 by the run's status:
     optimal     0  the LP optimum over elementary routes, certified by an
@@ -20,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import logging
 import sys
 from pathlib import Path
 
@@ -107,6 +114,7 @@ def cmd_solve(args) -> int:
         f"{inst.name} {arm} {res.status} objective={res.objective:.6f} "
         f"iterations={res.iterations} total={res.total_time:.3f}s "
         f"pricing={res.pricing_time:.3f}s rmp={res.rmp_time:.3f}s "
+        f"edges={sum(r.edges_relaxed for r in rows)} "
         f"pivots={sum(r.pivots for r in rows)} replayed={sum(r.replayed for r in rows)}"
     )
     return SOLVE_EXIT[res.status]
@@ -205,17 +213,23 @@ def cmd_oracle_suite(args) -> int:
     return 1 if failures else 0
 
 
+LOG_LEVELS = ("debug", "info", "warning", "error")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="lacg", description=__doc__)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--log-level", choices=LOG_LEVELS, default="warning",
+                        help="level of the lacg.* loggers (default: warning)")
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen", help="generate a benchmark dataset")
+    g = sub.add_parser("gen", parents=[common], help="generate a benchmark dataset")
     g.add_argument("--dataset", type=int, choices=(1, 2), required=True)
     g.add_argument("--out", required=True)
     g.add_argument("--base-seed", type=int, default=0)
     g.set_defaults(func=cmd_generate)
 
-    s = sub.add_parser("solve", help="run one instance with one arm")
+    s = sub.add_parser("solve", parents=[common], help="run one instance with one arm")
     s.add_argument("--instance", required=True)
     s.add_argument("--la-neighbors", type=int, choices=(0, 5, 10), default=0)
     s.add_argument("--cycle-rule", choices=("min-nodes", "shortest"), default="min-nodes")
@@ -225,12 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_solve)
 
-    u = sub.add_parser("speedup", help="factor speed-ups versus the la0 baseline")
+    u = sub.add_parser("speedup", parents=[common],
+                       help="factor speed-ups versus the la0 baseline")
     u.add_argument("--dir", required=True)
     u.add_argument("--min-baseline-secs", type=float, default=5.0)
     u.set_defaults(func=cmd_speedup)
 
-    o = sub.add_parser("oracle-suite", help="brute-force cross-checks on tiny instances")
+    o = sub.add_parser("oracle-suite", parents=[common],
+                       help="brute-force cross-checks on tiny instances")
     o.add_argument("--max-n", type=int, default=7)
     o.add_argument("--trials", type=int, default=6)
     o.set_defaults(func=cmd_oracle_suite)
@@ -239,6 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # a no-op when the root logger already has a handler (an embedding app)
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("lacg").setLevel(args.log_level.upper())
     return args.func(args)
 
 

@@ -56,6 +56,7 @@ class TraceRow:
     rmp_time: float
     dssr_iterations: int
     nodes_expanded: int
+    edges_relaxed: int
     columns_added: int
     pivots: int  # RMP simplex pivots on the full tableau
     replayed: int  # RMP simplex pivots taken from the replay record
@@ -64,7 +65,8 @@ class TraceRow:
 # wall times are excluded on purpose: trace files must be reproducible
 TRACE_CSV_FIELDS = (
     "iteration", "rmp_objective", "min_reduced_cost", "lagrangian_bound",
-    "dssr_iterations", "nodes_expanded", "columns_added", "pivots", "replayed",
+    "dssr_iterations", "nodes_expanded", "edges_relaxed", "columns_added", "pivots",
+    "replayed",
 )
 
 
@@ -80,7 +82,8 @@ class CgTrace:
                 w.writerow([
                     r.iteration, repr(r.rmp_objective), repr(r.min_reduced_cost),
                     repr(r.lagrangian_bound), r.dssr_iterations,
-                    r.nodes_expanded, r.columns_added, r.pivots, r.replayed,
+                    r.nodes_expanded, r.edges_relaxed, r.columns_added, r.pivots,
+                    r.replayed,
                 ])
 
 
@@ -141,6 +144,9 @@ def solve(inst: Instance, config: CgConfig | None = None) -> CgResult:
         pricing_time += t2 - t1
 
         min_rc = res.reduced_cost
+        log.debug("iteration %d: rmp objective %r, min reduced cost %r, %d DSSR iterations, "
+                  "%d nodes, %d edges", it, sol.objective, min_rc, res.iterations,
+                  res.nodes_expanded, res.edges_relaxed)
         bound = (
             lagrangian_bound(sol.objective, min_rc, inst.n)
             if res.exact else float("nan")
@@ -150,6 +156,7 @@ def solve(inst: Instance, config: CgConfig | None = None) -> CgResult:
                 iteration=it, rmp_objective=sol.objective, min_reduced_cost=min_rc,
                 lagrangian_bound=bound, pricing_time=t2 - t1, rmp_time=t1 - t0,
                 dssr_iterations=res.iterations, nodes_expanded=res.nodes_expanded,
+                edges_relaxed=res.edges_relaxed,
                 columns_added=0, pivots=sol.pivots, replayed=sol.replayed,
             ))
             status = "optimal"
@@ -175,6 +182,7 @@ def solve(inst: Instance, config: CgConfig | None = None) -> CgResult:
             iteration=it, rmp_objective=sol.objective, min_reduced_cost=min_rc,
             lagrangian_bound=bound, pricing_time=t2 - t1, rmp_time=t1 - t0,
             dssr_iterations=res.iterations, nodes_expanded=res.nodes_expanded,
+            edges_relaxed=res.edges_relaxed,
             columns_added=added, pivots=sol.pivots, replayed=sol.replayed,
         ))
         if added == 0:

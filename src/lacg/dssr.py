@@ -59,7 +59,8 @@ class DssrResult:
     iterations: int
     exact: bool
     log: list[DssrIteration] = field(default_factory=list)
-    nodes_expanded: int = 0
+    nodes_expanded: int = 0  # summed over the call's searches
+    edges_relaxed: int = 0  # likewise
 
 
 def select_cycle(route: Route, sets: NeighborSets, inst: Instance,
@@ -119,7 +120,7 @@ def price_elementary(inst: Instance, sets: NeighborSets, table: ComponentPathTab
     early: list[tuple[Route, float]] = []
     early_seen: set[tuple[int, ...]] = set()
     log: list[DssrIteration] = []
-    total_nodes = 0
+    total_nodes = total_edges = 0
     best_elem: Route | None = None
     best_rc = float("inf")
     for it in range(1, limit + 1):
@@ -127,6 +128,7 @@ def price_elementary(inst: Instance, sets: NeighborSets, table: ComponentPathTab
             inst, sets, table, duals, index=index, heuristic=heuristic, prune_bound=best_rc,
         )
         total_nodes += res.diagnostics.nodes_expanded
+        total_edges += res.diagnostics.edges_relaxed
         route = res.route
         if best_elem is not None and res.reduced_cost >= best_rc - 1e-12:
             # nothing in the current relaxation beats a route that is already
@@ -139,6 +141,7 @@ def price_elementary(inst: Instance, sets: NeighborSets, table: ComponentPathTab
             return DssrResult(
                 route=best_elem, reduced_cost=best_rc, early_columns=early,
                 iterations=it, exact=True, log=log, nodes_expanded=total_nodes,
+                edges_relaxed=total_edges,
             )
         if is_elementary(route):
             log.append(DssrIteration(
@@ -149,6 +152,7 @@ def price_elementary(inst: Instance, sets: NeighborSets, table: ComponentPathTab
             return DssrResult(
                 route=route, reduced_cost=res.reduced_cost, early_columns=early,
                 iterations=it, exact=True, log=log, nodes_expanded=total_nodes,
+                edges_relaxed=total_edges,
             )
         trimmed = trim_to_elementary(route, inst)
         rc_trim = reduced_cost(trimmed, duals, costs)
@@ -167,6 +171,7 @@ def price_elementary(inst: Instance, sets: NeighborSets, table: ComponentPathTab
             return DssrResult(
                 route=trimmed, reduced_cost=rc_trim, early_columns=early,
                 iterations=it, exact=False, log=log, nodes_expanded=total_nodes,
+                edges_relaxed=total_edges,
             )
         grew = False
         for w in choice.augment:

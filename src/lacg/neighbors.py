@@ -79,6 +79,10 @@ class NeighborSets:
         for u in self._ng_mask:
             self._ng_mask[u] = 0
 
+    def ng_meeting(self, mask: int) -> list[int]:
+        """Customers whose ng set shares a member with mask."""
+        return [u for u, m in self._ng_mask.items() if m & mask]
+
     def has_ng(self, w: int, u: int) -> bool:
         """True when u is an ng neighbor of w."""
         return bool(self._ng_mask.get(w, 0) & bit(u))

@@ -21,14 +21,22 @@ A popped node is skipped when an already expanded node with the same
 
 The best-first search keeps its distances in an array indexed by label and
 capacity: a label is a (customer, memory) pair interned by the ArcIndex,
-with (v, 0) as label v, and the sink has a scalar of its own.  Edges toward
-targets with empty ng sets come from the bucket's dense matrix; edges toward
-targets with grown ng sets come from the bucket's window for the node's
-capacity and are checked and written in one masked numpy pass per expanded
-node, where only pushes onto the heap run in Python.  Windows under
-arcs.BATCH_MIN entries, and a bucket's first search after it changes, take
-a scalar loop instead.  bellman_ford keeps tuple-keyed dicts as the plain
-reference.
+with (v, 0) as label v, and the sink has a scalar of its own.  What a
+pricing call fixes is computed once per call, not per search or node: the
+source edges and their out-and-back incumbent (at bind_duals), and, with a
+heuristic table, each bucket's dense block per capacity d, the flattened
+weights toward customers with empty ng sets and the same plus the heuristic
+at the landing node.  A block lives on its bucket across DSSR iterations
+until invalidation turns one of its finite rows +inf, so an expansion does
+one comparison against the bound, one nonzero and scalar reads.  Edges
+toward targets with grown ng sets come from the bucket's window for the
+node's capacity and are checked and written in one masked numpy pass per
+expanded node, where only pushes onto the heap run in Python.  Windows under
+arcs.BATCH_MIN entries, and a bucket's first search after it changes, take a
+scalar loop over rows sorted by their least fitting capacity lo, which stops
+at the first row with lo > d.  Searches without a heuristic build their
+blocks afresh and never read the cache.  bellman_ford keeps tuple-keyed
+dicts as the plain reference.
 """
 
 from __future__ import annotations
@@ -109,11 +117,9 @@ def solve_la_pricing(inst: Instance, sets: NeighborSets, table: ComponentPathTab
     index = index or ArcIndex(table, sets, inst.capacity)
     index.bind_duals(duals)
     if mode == "dijkstra":
-        g, parent, diag = _best_first(
-            inst, index, duals, heuristic, use_dominance, prune_bound
-        )
+        g, parent, diag = _best_first(inst, index, heuristic, use_dominance, prune_bound)
     else:
-        g, parent, diag = _relax_all(inst, index, duals)
+        g, parent, diag = _relax_all(inst, index)
     if _SINK_KEY not in parent:
         raise RuntimeError("pricing graph has no source-to-sink path")
     route = _decode(inst, index, parent)
@@ -121,29 +127,20 @@ def solve_la_pricing(inst: Instance, sets: NeighborSets, table: ComponentPathTab
     return PricingResult(route=route, reduced_cost=g, diagnostics=diag)
 
 
-def _source_edges(inst: Instance, index: ArcIndex, duals: DualSolution):
-    cm = index.table.costs
-    for u in inst.customers:
-        yield u, cm.cost(-1, u) + duals.pi0
-
-
-def _best_first(inst, index, duals, heuristic, use_dominance, prune_bound=np.inf):
+def _best_first(inst, index, heuristic, use_dominance, prune_bound=np.inf):
     n, d0 = inst.n, inst.capacity
     stride = d0 + 1
-    dem = np.zeros(n + 1, dtype=np.int64)
-    for u in inst.customers:
-        dem[u] = inst.demand[u]
     offr = index.offset_rate()
     use_h = heuristic is not None
     if use_h:
         H = heuristic.h
         pot = H.ravel()
+        index.use_heuristic(H)
     else:
         pot = np.tile(-offr * np.arange(stride), n + 1)
+        dem = np.array([0] + [inst.demand[u] for u in inst.customers])
+        zd_cols = np.arange(d0 + 1)
     pot_l = pot.tolist()  # potential of (v, d2) at flat index v * stride + d2
-
-    def phi(u, d):
-        return float(H[u, d]) if use_h else -offr * d
 
     # distances of label (v, M2) at capacity d live at flat index
     # label * stride + d; rows are added as groups intern new labels
@@ -153,18 +150,12 @@ def _best_first(inst, index, duals, heuristic, use_dominance, prune_bound=np.inf
     sink_g = np.inf
     parent: dict[tuple, tuple | None] = {}
     heap = []
-    seed_g = np.inf
-    seed_u = None
-    for u, w in _source_edges(inst, index, duals):
-        at = u * stride + d0
-        if w < flat.item(at) - 1e-15:
-            flat[at] = w
-            parent[(u, 0, d0)] = _SOURCE_KEY
-            heapq.heappush(heap, (w + phi(u, d0), d0, u, 0, w, u))
-        # out-and-back completion of the source edge: a valid incumbent
-        full = w + float(index._base_sink[u][d0])
-        if full < seed_g:
-            seed_g, seed_u = full, u
+    for u, w in index.source_edges:
+        flat[u * stride + d0] = w
+        parent[(u, 0, d0)] = _SOURCE_KEY
+        heap.append((w + pot_l[u * stride + d0], d0, u, 0, w, u))
+    heapq.heapify(heap)
+    seed_g, seed_u = index.source_seed
     expanded: dict[int, list] = {}
     closed: set[int] = set()
     bound = prune_bound
@@ -174,7 +165,6 @@ def _best_first(inst, index, duals, heuristic, use_dominance, prune_bound=np.inf
         bound = min(bound, seed_g)
         heapq.heappush(heap, (seed_g, 0, _SINK, 0, seed_g, _SINK))
     nodes = edges = 0
-    zd_cols = np.arange(d0 + 1)
     while heap:
         f, d, u, m1, g, lab = heapq.heappop(heap)
         if u == _SINK or f >= bound:
@@ -198,9 +188,9 @@ def _best_first(inst, index, duals, heuristic, use_dominance, prune_bound=np.inf
             dist = wider
             flat = dist.reshape(-1)
         # sink edge
-        ws = bucket.sink_pref[d]
-        if np.isfinite(ws):
-            g2 = g + float(ws)
+        ws = bucket.sink[d]
+        if ws < np.inf:
+            g2 = g + ws
             edges += 1
             if g2 < sink_g - 1e-15:
                 sink_g = g2
@@ -209,25 +199,27 @@ def _best_first(inst, index, duals, heuristic, use_dominance, prune_bound=np.inf
                 heapq.heappush(heap, (g2, 0, _SINK, 0, g2, _SINK))
         # dense targets (empty ng sets, so M2 = 0)
         if d >= 2:
-            A = bucket.dense[1:, 1:d + 1]
             if use_h:
                 # rows for capacities below a customer's demand are +inf in H,
                 # so infeasible candidates drop out of the comparison for free
-                T = A + H[1:, d - 1::-1]
+                block = bucket.blocks.get(d)
+                T, A = block if block is not None else bucket.dense_block(d, H)
             else:
+                A = bucket.dense[1:, 1:d + 1]
                 d2row = (d - zd_cols[1:d + 1])[None, :]
-                T = np.where(d2row >= dem[1:, None], A - offr * d2row, np.inf)
-            for cell in (T.ravel() < bound - g).nonzero()[0].tolist():
+                T = np.where(d2row >= dem[1:, None], A - offr * d2row, np.inf).ravel()
+                A = A.ravel()
+            for cell in (T < bound - g).nonzero()[0].tolist():
                 i, j = divmod(cell, d)
                 v = i + 1
                 d2 = d - (j + 1)
-                g2 = g + float(A[i, j])
+                g2 = g + A.item(cell)
                 edges += 1
                 at = v * stride + d2
                 if g2 < flat.item(at) - 1e-15:
                     flat[at] = g2
                     parent[(v, 0, d2)] = key
-                    heapq.heappush(heap, (g + float(T[i, j]), d2, v, 0, g2, v))
+                    heapq.heappush(heap, (g + T.item(cell), d2, v, 0, g2, v))
         # targets with grown ng sets: the (M2, demand) entries whose landing
         # capacity fits.  Within one expansion every (label, d2) target is
         # distinct (a grown target's dense row is +inf and each group has
@@ -235,7 +227,9 @@ def _best_first(inst, index, duals, heuristic, use_dominance, prune_bound=np.inf
         rows, cols = bucket.window(d)
         if rows:
             for lo, hi, v, lab2, v_at, lab_at, neg_zd, w in rows:
-                if d < lo or d > hi:
+                if lo > d:
+                    break  # rows are lo-sorted
+                if d > hi:
                     continue
                 g2 = g + w
                 f2 = g2 + pot_l[v_at + d]
@@ -273,13 +267,13 @@ def _best_first(inst, index, duals, heuristic, use_dominance, prune_bound=np.inf
     return sink_g, parent, diag
 
 
-def _relax_all(inst, index, duals):
+def _relax_all(inst, index):
     d0 = inst.capacity
     dem = inst.demand
     dist: dict[tuple, float] = {}
     parent: dict[tuple, tuple | None] = {}
     by_d: dict[int, set] = {d: set() for d in range(d0 + 1)}
-    for u, w in _source_edges(inst, index, duals):
+    for u, w in index.source_edges:
         key = (u, 0, d0)
         if w < dist.get(key, np.inf):
             dist[key] = w

@@ -1,8 +1,11 @@
 import csv
+import logging
 import subprocess
 import sys
 
-from lacg import cli
+from lacg import cli, driver
+from lacg.dssr import DssrResult
+from lacg.routes import make_route
 from lacg.cli import main, DATASET1, DATASET2
 from lacg.instances import read_instance, generate_instance, write_instance
 
@@ -142,3 +145,45 @@ def test_solve_exit_code_stalled(tmp_path, monkeypatch):
     ipath = tmp_path / "tiny.txt"
     write_instance(inst, ipath)
     assert main(["solve", "--instance", str(ipath), "--out", str(tmp_path / "r")]) == 1
+
+
+def test_log_level_toggles_driver_warning(tmp_path, monkeypatch, caplog):
+    # pricing that hands back a pool column makes the driver warn
+    def price_pool_route(inst, sets, table, duals, **kwargs):
+        route = make_route([1], inst)
+        return DssrResult(route=route, reduced_cost=-1.0, early_columns=[],
+                          iterations=1, exact=True)
+
+    monkeypatch.setattr(driver, "price_elementary", price_pool_route)
+    inst = generate_instance(38, 7, 4, "unit")
+    ipath = tmp_path / "tiny.txt"
+    write_instance(inst, ipath)
+    lacg_log = logging.getLogger("lacg")
+    old = lacg_log.level
+    try:
+        for level, warned in (("warning", 1), ("error", 0), ("debug", 1)):
+            caplog.clear()
+            assert main(["solve", "--instance", str(ipath), "--log-level", level,
+                         "--out", str(tmp_path / level)]) == 1
+            got = [r for r in caplog.records if "existing column" in r.getMessage()]
+            assert len(got) == warned
+            assert lacg_log.level == getattr(logging, level.upper())
+    finally:
+        lacg_log.setLevel(old)
+
+
+def test_log_level_debug_logs_each_iteration(tmp_path):
+    inst = generate_instance(4, 7, 4, "unit")
+    ipath = tmp_path / "tiny.txt"
+    write_instance(inst, ipath)
+    err = {}
+    for level in ("debug", "warning"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "lacg.cli", "solve", "--instance", str(ipath),
+             "--log-level", level, "--out", str(tmp_path / level)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        err[level] = proc.stderr
+    assert "DEBUG lacg.driver: iteration 1: rmp objective" in err["debug"]
+    assert err["warning"] == ""

@@ -1,3 +1,4 @@
+import csv
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from lacg.instances import Instance, generate_instance
 from lacg.driver import CgConfig, solve
 from lacg.dssr import DssrResult
 from lacg.routes import make_route
-from lacg import driver, oracle
+from lacg import driver, dssr, oracle
 
 
 def test_single_customer_converges_in_one_iteration():
@@ -129,3 +130,29 @@ def test_repeated_columns_counted(monkeypatch):
     assert res.status == "stalled"
     assert res.repeated_columns == 1
     assert res.iterations == 1 and res.trace.rows[0].columns_added == 0
+
+
+def test_trace_counts_edges_of_every_search(tmp_path, monkeypatch):
+    searched = []
+    real = dssr.solve_la_pricing
+
+    def search(*args, **kwargs):
+        res = real(*args, **kwargs)
+        searched[-1] += res.diagnostics.edges_relaxed
+        return res
+
+    real_price = driver.price_elementary
+
+    def price(*args, **kwargs):
+        searched.append(0)
+        return real_price(*args, **kwargs)
+
+    monkeypatch.setattr(dssr, "solve_la_pricing", search)
+    monkeypatch.setattr(driver, "price_elementary", price)
+    res = solve(generate_instance(105, 16, 20, "uniform_1_10"), CgConfig(la_k=5))
+    assert [r.edges_relaxed for r in res.trace.rows] == searched
+    assert sum(searched) == 210305  # recorded before the trace carried edges
+    res.trace.write_csv(tmp_path / "t.csv")
+    with open(tmp_path / "t.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert [int(r["edges_relaxed"]) for r in rows] == searched

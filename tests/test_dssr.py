@@ -1,16 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lacg.instances import generate_instance, cost_matrix
+from lacg.instances import Instance, generate_instance, cost_matrix
 from lacg.neighbors import build_la_neighbors, augment_ng
 from lacg.routes import (
     DualSolution, make_route, reduced_cost, is_elementary, is_la_route,
 )
-from lacg.arcs import build_arc_index, compute_component_paths
+from lacg.arcs import ArcIndex, build_arc_index, compute_component_paths
 from lacg.pricing import solve_la_pricing
 from lacg.dssr import price_elementary, select_cycle
 from lacg import oracle
+from lacg.rmp import initial_columns, make_column, solve_rmp
 
 
 def _setup(seed, n, cap, k, mode="unit"):
@@ -192,3 +194,72 @@ def test_full_vs_targeted_invalidation():
         for w in choice.augment:
             augment_ng(sets, w, choice.customer)
         index.invalidate(set(choice.augment))
+
+
+@st.composite
+def _priced_instances(draw):
+    """A small instance, an la size and a few dual vectors."""
+    n = draw(st.integers(2, 6))
+    k = draw(st.integers(0, n - 1))
+    unit = draw(st.booleans())
+    # fewer points than customers gives duplicate coordinates, so ties
+    points = draw(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)),
+                           min_size=1, max_size=n, unique=True))
+    coords = {-1: (10.0, 10.0), -2: (10.0, 10.0)}
+    coords.update({u: points[draw(st.integers(0, len(points) - 1))]
+                   for u in range(1, n + 1)})
+    demand = {u: 1 if unit else draw(st.integers(1, 4)) for u in range(1, n + 1)}
+    capacity = draw(st.integers(max(demand.values()), sum(demand.values())))
+    inst = Instance(name="drawn", coords=coords, demand=demand, capacity=capacity, fleet=n)
+    cm = cost_matrix(inst)
+    scale = st.floats(0.0, 3.0, allow_nan=False)
+    duals = [DualSolution(pi={u: draw(scale) * cm.cost(-1, u) for u in inst.customers},
+                          pi0=draw(st.floats(0.0, 40.0, allow_nan=False)))
+             for _ in range(draw(st.integers(1, 3)))]
+    return inst, k, duals
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_priced_instances())
+def test_price_elementary_matches_brute_force(drawn):
+    inst, k, duals_list = drawn
+    cm = cost_matrix(inst)
+    sets = build_la_neighbors(inst, k, cm)
+    table = compute_component_paths(inst, sets, cm)
+    index = ArcIndex(table, sets, inst.capacity)  # shared, as across CG iterations
+    routes = oracle.enumerate_routes(inst, "elementary")
+    elem = {r.seq for r in routes}
+    for duals in duals_list:
+        _, want = oracle.brute_pricing(routes, duals, cm)
+        for res in (price_elementary(inst, sets, table, duals),
+                    price_elementary(inst, sets, table, duals, index=index)):
+            assert res.exact and is_elementary(res.route)
+            assert res.route.seq in elem  # capacity-feasible too
+            assert res.reduced_cost == pytest.approx(want, abs=1e-9)
+            assert reduced_cost(res.route, duals, cm) == pytest.approx(want, abs=1e-9)
+
+
+def _call_key(res):
+    return (res.route.seq, float(res.reduced_cost).hex(), res.nodes_expanded,
+            res.iterations, res.edges_relaxed)
+
+
+@pytest.mark.parametrize("k", [0, 10])
+def test_shared_index_matches_fresh_index(k):
+    # column generation prices every iteration's duals on one ArcIndex; its
+    # per-call caches must leave each call as a fresh index would price it
+    inst, cm, sets, table = _setup(105, 16, 20, k, "uniform_1_10")
+    fresh_sets = build_la_neighbors(inst, k, cm)
+    index = ArcIndex(table, sets, inst.capacity)
+    columns = initial_columns(inst, cm)
+    grown = 0
+    for _ in range(6):
+        duals = solve_rmp(columns, inst.n, inst.fleet).duals
+        got = price_elementary(inst, sets, table, duals, index=index)
+        want = price_elementary(inst, fresh_sets, table, duals,
+                                index=ArcIndex(table, fresh_sets, inst.capacity))
+        assert _call_key(got) == _call_key(want)
+        grown += got.iterations > 1
+        assert got.reduced_cost < -1e-9
+        columns.append(make_column(got.route, cm))
+    assert grown >= 3

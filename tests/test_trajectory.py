@@ -14,7 +14,7 @@ from lacg.driver import CgConfig, solve
 from lacg.dssr import price_elementary
 from lacg.instances import cost_matrix, generate_instance
 from lacg.neighbors import build_la_neighbors
-from lacg.pricing import solve_la_pricing
+from lacg.pricing import compute_heuristic, solve_la_pricing
 from lacg.rmp import initial_columns, solve_rmp
 
 # la_k -> (objective, (CG iterations, DSSR iterations, nodes expanded,
@@ -95,3 +95,30 @@ def test_windows_match_group_filter():
                 assert len(got) == len(labs)
             assert got == want
     assert kinds == {"rows", "columns"}
+
+
+@pytest.mark.parametrize("la_k", sorted(PINNED))
+def test_cached_dense_blocks_match_buckets(la_k):
+    # blocks are kept across DSSR iterations; invalidation must drop every
+    # block whose bucket lost a finite dense row
+    inst, sets, table, index, duals, res = _grown(la_k)
+    h = compute_heuristic(inst, sets, table, duals, index=index).h
+    checked = 0
+    for bucket in index._buckets.values():
+        for d, (T, A) in bucket.blocks.items():
+            a = bucket.dense[1:, 1:d + 1]
+            assert A.tobytes() == a.tobytes()
+            assert T.tobytes() == (a + h[1:, d - 1::-1]).tobytes()
+            checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("la_k", sorted(PINNED))
+def test_search_without_heuristic_ignores_warm_caches(la_k):
+    inst, sets, table, index, duals, res = _grown(la_k)
+    fresh = ArcIndex(table, sets, inst.capacity)
+    got, want = (solve_la_pricing(inst, sets, table, duals, index=i) for i in (index, fresh))
+    assert (got.route.seq, float(got.reduced_cost).hex(), got.diagnostics.nodes_expanded,
+            got.diagnostics.edges_relaxed) == (
+        want.route.seq, float(want.reduced_cost).hex(), want.diagnostics.nodes_expanded,
+        want.diagnostics.edges_relaxed)
