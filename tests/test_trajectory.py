@@ -7,8 +7,11 @@ so any change that perturbs the search order, a counter or a float shows up
 here rather than only in the minutes-long benchmark.
 """
 
+import hashlib
+
 import pytest
 
+from lacg import driver
 from lacg.arcs import BATCH_MIN, ArcIndex, compute_component_paths
 from lacg.driver import CgConfig, solve
 from lacg.dssr import price_elementary
@@ -43,6 +46,35 @@ def test_pinned_trajectory(la_k):
         sum(r.nodes_expanded for r in rows),
         len(res.columns),
     ) == counters
+
+
+# (seed, n, capacity, demand mode, la_k) -> sha256 of the repr of the list of
+# (route, nodes expanded, DSSR iterations, edges relaxed), one tuple per
+# pricing call of the solve; integers only, so the digest is a pure function
+# of the search order and the route choices
+CALL_DIGESTS = {
+    (105, 16, 20, "uniform_1_10", 5):
+        "119bbf77413e02b4b34948fb4c3a1bae1afb76c28d8b6021fb5c22a74be1a560",
+    (3, 30, 4, "unit", 10):
+        "3e0de8e30181e178b46231398701751f92deccb2f45826b18e7c1ce40de45662",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CALL_DIGESTS),
+                         ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}-la{c[4]}")
+def test_pricing_calls_digest(case, monkeypatch):
+    calls = []
+    real = driver.price_elementary
+
+    def price(*args, **kwargs):
+        res = real(*args, **kwargs)
+        calls.append((res.route.seq, res.nodes_expanded, res.iterations, res.edges_relaxed))
+        return res
+
+    monkeypatch.setattr(driver, "price_elementary", price)
+    seed, n, cap, mode, la_k = case
+    assert solve(generate_instance(seed, n, cap, mode), CgConfig(la_k=la_k)).status == "optimal"
+    assert hashlib.sha256(repr(calls).encode()).hexdigest() == CALL_DIGESTS[case]
 
 
 def _grown(la_k):
