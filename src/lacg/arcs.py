@@ -27,15 +27,19 @@ demand cannot fit in a vehicle alongside u are skipped: such arcs could never
 appear in a feasible route.  Each arc row stores its subset's local bits, and
 every per-row subset test (M1 filters, carried memories, decode) runs on them.
 
-ArcIndex owns the dual-dependent view used by one pricing call: arc reduced
-costs (priced for all owners in one pass over a flat copy of the arc rows
-that the index builds once), the per-(u, visited-memory) successor buckets
-consumed by the search, and the lazily cached groups keyed by (u, v, M1,
-M2, demand).  Growing a customer's ng set invalidates exactly the cached
-entries that start or end at that customer.  The index also interns the
-(customer, memory) labels that the search uses as distance rows, and each
-bucket caches, per remaining capacity, the window of grown-ng entries that
-fit it.
+ArcIndex owns the dual-dependent view used by one pricing call.  It holds
+only the arc rows that fit a vehicle: every sink row, and the rows toward a
+customer v whose demand zd leaves room for v's (zd + demand(v) <= capacity).
+Any other row lands below v's demand and no route can traverse it; the table
+keeps it, so arc counts and lookups are unchanged.  Over the fitting rows
+the index holds arc reduced costs (priced for all owners in one pass over a
+flat copy of those rows that the index builds once), the per-(u,
+visited-memory) successor buckets consumed by the search, and the lazily
+cached groups keyed by (u, v, M1, M2, demand).  Growing a customer's ng set
+invalidates exactly the cached entries that start or end at that customer.
+The index also interns the (customer, memory) labels that the search uses
+as distance rows, and each bucket caches, per remaining capacity, the
+window of grown-ng entries that fit it.
 """
 
 from __future__ import annotations
@@ -495,9 +499,11 @@ class _Bucket:
 class ArcIndex:
     """Reduced-cost view of the arc table for one pricing call.
 
-    bind_duals fixes the duals and the source edges; successor buckets are
-    built lazily per (u, M1) and stay valid until invalidate() reports grown
-    ng sets.
+    Only the rows that fit a vehicle are indexed (see _flatten): every group
+    minimum, bucket, window and decode reads those, and the decode helpers
+    return table row ids for ComponentPathTable.arc_from_row.  bind_duals
+    fixes the duals and the source edges; successor buckets are built lazily
+    per (u, M1) and stay valid until invalidate() reports grown ng sets.
     """
 
     def __init__(self, table: ComponentPathTable, sets: NeighborSets, capacity: int):
@@ -534,31 +540,85 @@ class ArcIndex:
     # -- duals -------------------------------------------------------------
 
     def _flatten(self) -> None:
-        """Every owner's arc rows in one dual-independent block, owner by owner.
+        """The fitting arc rows of every owner in one dual-independent block,
+        owner by owner.
 
-        Subset ids are made global by offsetting each owner's by the subsets
-        of the owners before it; group starts likewise by the rows before.
+        A row toward customer v fits when zd + demand(v) <= capacity; every
+        sink row fits.  A row that does not fit lands below v's demand, so
+        no route traverses it, and it is left out.  Fit depends on (target,
+        demand) only, so it is decided per group and a group is kept or
+        dropped whole; within one (owner, target) the fitting rows are a
+        zd-sorted prefix.  Subset ids are made global by offsetting each
+        owner's by the subsets of the owners before it; group starts are
+        positions in the block.
         """
         table = self.table
         owners = self.inst.customers
-        rows = [len(table._arc_cost[u]) for u in owners]
+
+        def cat(arrays):
+            return np.concatenate([arrays[u] for u in owners])
+
         groups = [len(table._grp_starts[u]) for u in owners]
-        row_off = np.cumsum([0] + rows)
+        row_off = np.cumsum([0] + [len(table._arc_cost[u]) for u in owners]).tolist()
+        starts = np.concatenate([table._grp_starts[u] + off for u, off in zip(owners, row_off)])
+        sizes = np.diff(starts, append=row_off[-1])  # rows per group
+        grp_v, grp_zd = cat(table._grp_v), cat(table._grp_zd)
+        need = np.array([0] + [self.inst.demand[v] for v in owners])
+        gfit = grp_zd + need[grp_v] <= self.d0
+        if gfit.all():  # nothing to drop
+            pick = cat
+        else:
+            fit = np.repeat(gfit, sizes)
+
+            def pick(arrays):  # the fitting rows of a per-owner table array
+                return np.concatenate([arrays[u][fit[a:b]]
+                                       for u, a, b in zip(owners, row_off, row_off[1:])])
+        kept = sizes[gfit]
+        # fitting rows and kept groups before each owner's
+        grp_bounds = np.cumsum([0] + groups)
+        fit_off = np.concatenate(([0], np.cumsum(sizes * gfit)))[grp_bounds]
+        grp_off = np.concatenate(([0], np.cumsum(gfit)))[grp_bounds]
         sub_off = np.cumsum([0] + [len(table.subsets[u]) for u in owners])
-        self._flat_cost = np.concatenate([table._arc_cost[u] for u in owners])
-        self._flat_subset = (np.concatenate([table._arc_subset[u] for u in owners])
-                             + np.repeat(sub_off[:-1], rows))
-        self._flat_starts = np.concatenate(
-            [table._grp_starts[u] + row_off[i] for i, u in enumerate(owners)])
-        self._flat_grp_zd = np.concatenate([table._grp_zd[u] for u in owners])
+        self._flat_cost = pick(table._arc_cost)
+        self._flat_subset = pick(table._arc_subset) + np.repeat(sub_off[:-1], np.diff(fit_off))
+        self._flat_starts = np.cumsum(kept) - kept
+        self._flat_grp_zd = grp_zd[gfit]
         # (owner, target, demand) of every group, to scatter group minima
-        self._grp_at = (np.repeat(np.array(owners, dtype=np.intp), groups),
-                        np.concatenate([table._grp_v[u] for u in owners]),
-                        self._flat_grp_zd)
+        self._grp_at = (np.repeat(np.array(owners, dtype=np.intp), groups)[gfit],
+                        grp_v[gfit], self._flat_grp_zd)
         self._flat_cbar = np.empty_like(self._flat_cost)
-        # _cbar[u]: owner u's rows of the reduced-cost block, as a view
-        self._cbar = [None] + [self._flat_cbar[row_off[i]:row_off[i + 1]]
-                               for i in range(len(owners))]
+        flat_local = pick(table._arc_local)
+        flat_zd = np.repeat(self._flat_grp_zd, kept)
+        own_starts = self._flat_starts - np.repeat(fit_off[:-1], np.diff(grp_off))
+        # per-owner slices, indexed by owner id: the fitting rows' reduced
+        # costs, subset bits and demands, and (starts, targets, demands) of
+        # their groups
+        self._cbar, self._local, self._zd, self._grp = [None], [None], [None], [None]
+        fo, go = fit_off.tolist(), grp_off.tolist()
+        for a, b, g, h in zip(fo, fo[1:], go, go[1:]):
+            self._cbar.append(self._flat_cbar[a:b])
+            self._local.append(flat_local[a:b])
+            self._zd.append(flat_zd[a:b])
+            self._grp.append((own_starts[g:h], self._grp_at[1][g:h], self._flat_grp_zd[g:h]))
+        self._targets: dict[int, dict[int, tuple[int, int, int]]] = {}
+
+    def _bounds(self, u: int, v: int) -> tuple[int, int, int] | None:
+        """(a, b, shift): u's fitting rows toward target v are a..b-1 of
+        u's slices, and row i there is table row i + shift; None if none fit.
+
+        Built per owner on first use, from the owner's kept groups.
+        """
+        got = self._targets.get(u)
+        if got is None:
+            starts, gv, _ = self._grp[u]
+            first = np.flatnonzero(np.r_[True, gv[1:] != gv[:-1]])
+            ends = np.r_[starts[first[1:]], len(self._zd[u])].tolist()
+            table_rows = self.table._rows_bounds[u]
+            got = self._targets[u] = {
+                v: (a, b, table_rows[v][0] - a)
+                for v, a, b in zip(gv[first].tolist(), starts[first].tolist(), ends)
+            }
+        return got.get(v)
 
     def bind_duals(self, duals) -> None:
         if duals is self._duals:
@@ -591,7 +651,7 @@ class ArcIndex:
         dense[:, _SINK] = np.inf
         self._base_dense = dense
         # a group shares one demand zd >= 1, and rounding is monotone, so the
-        # least cbar / zd over arcs is the least group minimum / zd
+        # least cbar / zd over fitting arcs is the least group minimum / zd
         worst = float(np.min(mins / self._flat_grp_zd))
         self._offset_rate = max(0.0, -worst) if np.isfinite(worst) else 0.0
         # start depot -> u edges, and the best out-and-back route u -> sink
@@ -611,7 +671,9 @@ class ArcIndex:
         return self._duals
 
     def offset_rate(self) -> float:
-        """Per-demand-unit weight offset making every graph edge nonnegative."""
+        """Per-demand-unit weight offset making every graph edge nonnegative:
+        the least over the fitting arcs, the edges of the pricing graph, of
+        max(0, -reduced cost / demand)."""
         if self._offset_rate is None:
             raise RuntimeError("bind_duals must be called first")
         return self._offset_rate
@@ -659,16 +721,13 @@ class ArcIndex:
         got = self._cores.get((u, fkey))
         if got is not None:
             return got
-        inst = self.inst
-        table = self.table
         cbar = self._cbar[u]
-        sel = (table._arc_local[u] & np.uint32(table.to_local(u, fkey))) == 0
+        sel = (self._local[u] & np.uint32(self.table.to_local(u, fkey))) == 0
+        starts, gv, gz = self._grp[u]
         # arcs are (target, demand)-sorted: one masked reduceat per layer
-        mins = np.minimum.reduceat(np.where(sel, cbar, np.inf), table._grp_starts[u])
-        gv = table._grp_v[u]
-        gz = table._grp_zd[u]
+        mins = np.minimum.reduceat(np.where(sel, cbar, np.inf), starts)
         cust = gv != _SINK
-        dense = np.full((inst.n + 1, self.d0 + 1), np.inf)
+        dense = np.full((self.inst.n + 1, self.d0 + 1), np.inf)
         dense[gv[cust], gz[cust]] = mins[cust]
         sink_pref = np.full(self.d0 + 1, np.inf)
         sink_pref[gz[~cust]] = mins[~cust]
@@ -688,7 +747,7 @@ class ArcIndex:
         return _Bucket(dense, dirty, sink_pref)
 
     def _group_dirty(self, u: int, m1: int, v: int, dirty: dict) -> None:
-        bounds = self.table._rows_bounds[u].get(v)
+        bounds = self._bounds(u, v)
         if bounds is None or (m1 >> (v - 1)) & 1:
             dirty.pop(v, None)
             return
@@ -699,10 +758,10 @@ class ArcIndex:
             dirty[v] = cached
             return
         table = self.table
-        a, b = bounds
-        local_v = table._arc_local[u][a:b]
+        a, b, _ = bounds
+        local_v = self._local[u][a:b]
         cbar_v = self._cbar[u][a:b]
-        zd_v = table._arc_zd[u][a:b]
+        zd_v = self._zd[u][a:b]
         if m1:
             keep = (local_v & np.uint32(table.to_local(u, m1))) == 0
             local_v, cbar_v, zd_v = local_v[keep], cbar_v[keep], zd_v[keep]
@@ -785,46 +844,44 @@ class ArcIndex:
     # -- decode helpers ------------------------------------------------------
 
     def _candidate_rows(self, u: int, v: int, m1: int):
-        """Row ids toward v passing the M1 filter (rows are zd-sorted)."""
-        table = self.table
-        bounds = table._rows_bounds[u].get(v)
+        """Fitting rows toward v passing the M1 filter, as positions in u's
+        slices (zd-sorted), and the shift to table rows; None if none fit."""
+        bounds = self._bounds(u, v)
         if bounds is None:
-            return None
-        a, b = bounds
+            return None, 0
+        a, b, shift = bounds
         rows = np.arange(a, b)
-        if m1 == 0:
-            return rows
-        keep = (table._arc_local[u][a:b] & np.uint32(table.to_local(u, m1))) == 0
-        return rows[keep]
+        if m1:
+            rows = rows[(self._local[u][a:b] & np.uint32(self.table.to_local(u, m1))) == 0]
+        return rows, shift
 
     def best_arc_between(self, u: int, m1: int, v: int, zd: int, m2: int) -> int:
-        """Arc row realizing the bucket weight of edge (u,M1,*) -> (v,M2,*)."""
+        """Table row of the arc realizing the bucket weight of edge
+        (u,M1,*) -> (v,M2,*)."""
         table = self.table
-        rows = self._candidate_rows(u, v, m1)
+        rows, shift = self._candidate_rows(u, v, m1)
         if rows is None or not len(rows):
             raise RuntimeError("no arc matches a traversed edge")
-        zds = table._arc_zd[u][rows]
-        lo, hi = np.searchsorted(zds, (zd, zd + 1))
+        lo, hi = np.searchsorted(self._zd[u][rows], (zd, zd + 1))
         rows = rows[lo:hi]
         ng_v = self.sets.ng_mask(v)
         if ng_v:
-            outside, m2s = self._memories(u, m1, ng_v, table._arc_local[u][rows])
+            outside, m2s = self._memories(u, m1, ng_v, self._local[u][rows])
             same_outside = outside == m2 & ~self.sets.la_mask(u)
             rows = rows[(m2s == table.to_local(u, m2)) & same_outside]
         if not len(rows):
             raise RuntimeError("no arc matches a traversed edge")
-        return int(rows[np.argmin(self._cbar[u][rows])])
+        return int(rows[np.argmin(self._cbar[u][rows])]) + shift
 
     def best_sink_arc(self, u: int, m1: int, d: int) -> int:
-        table = self.table
-        rows = self._candidate_rows(u, _SINK, m1)
+        """Table row of the cheapest sink arc from (u, M1, d)."""
+        rows, shift = self._candidate_rows(u, _SINK, m1)
         if rows is None or not len(rows):
             raise RuntimeError("no sink arc fits the remaining capacity")
-        zds = table._arc_zd[u][rows]
-        rows = rows[: np.searchsorted(zds, d + 1)]
+        rows = rows[: np.searchsorted(self._zd[u][rows], d + 1)]
         if not len(rows):
             raise RuntimeError("no sink arc fits the remaining capacity")
-        return int(rows[np.argmin(self._cbar[u][rows])])
+        return int(rows[np.argmin(self._cbar[u][rows])]) + shift
 
 
 def build_arc_index(table: ComponentPathTable, sets: NeighborSets, capacity: int) -> ArcIndex:

@@ -375,8 +375,9 @@ def test_local_subset_bits():
 
 
 def test_flat_bind_duals_matches_per_owner_formula():
-    # la10 with ids past 63: the one-pass bind_duals over the flat arc block
-    # against the per-owner formula it replaced, compared bit for bit
+    # la10 with ids past 63: the one-pass bind_duals over the flat block of
+    # fitting arc rows against the per-owner formula it replaced, priced on
+    # the fitting rows only and compared bit for bit
     inst, cm, sets, table = _table(3, 66, 3, 10)
     index = build_arc_index(table, sets, inst.capacity)
     rnd = random.Random(9)
@@ -387,21 +388,35 @@ def test_flat_bind_duals_matches_per_owner_formula():
     pi = np.zeros(inst.n + 1)
     for u in inst.customers:
         pi[u] = duals.value(u)
+    need = np.array([0] + [inst.demand[v] for v in inst.customers])
+    # an (owner, target, demand) cell whose arcs land below the target's
+    # demand is never priced
+    dropped = 0
+    for u in inst.customers:
+        for v, zd in zip(table._grp_v[u].tolist(), table._grp_zd[u].tolist()):
+            if zd + need[v] > inst.capacity:
+                assert index._base_dense[u][v, zd] == np.inf
+                dropped += 1
+    assert dropped > 0
     worst = np.inf
     for u in inst.customers:
+        fit = table._arc_zd[u] + need[table._arc_v[u]] <= inst.capacity
         pisum = table._subset_indicator[u] @ pi[list(sets.la(u))]
         cbar = table._arc_cost[u] - pisum[table._arc_subset[u]] - pi[u]
-        assert index._cbar[u].tobytes() == cbar.tobytes()
-        mins = np.minimum.reduceat(cbar, table._grp_starts[u])
+        assert index._cbar[u].tobytes() == cbar[fit].tobytes()
+        bounds = np.r_[table._grp_starts[u], len(cbar)]
         dense = np.full((inst.n + 1, inst.capacity + 1), np.inf)
         sink = np.full(inst.capacity + 1, np.inf)
-        for v, zd, w in zip(table._grp_v[u].tolist(), table._grp_zd[u].tolist(), mins):
+        for g, (v, zd) in enumerate(zip(table._grp_v[u].tolist(), table._grp_zd[u].tolist())):
+            if zd + need[v] > inst.capacity:
+                continue
+            w = cbar[bounds[g]:bounds[g + 1]].min()
             if v == 0:
                 sink[zd] = w
             else:
                 dense[v, zd] = w
         assert index._base_dense[u].tobytes() == dense.tobytes()
         assert index._base_sink[u].tobytes() == np.minimum.accumulate(sink).tobytes()
-        worst = min(worst, float(np.min(cbar / table._arc_zd[u])))
+        worst = min(worst, float(np.min(cbar[fit] / table._arc_zd[u][fit])))
     assert worst < 0
     assert index.offset_rate() == max(0.0, -worst)

@@ -52,9 +52,13 @@ def test_offset_rate_direct_formula():
 
 
 def test_offset_rate_matches_scan_oracle():
+    # the least offset over the arcs a route can traverse: sink arcs, and
+    # arcs toward v whose demand leaves room for v's
     rnd = random.Random(3)
+    skipped = 0
     for trial in range(10):
-        inst, cm, sets, table = _setup(900 + trial, 6, 6, 3)
+        mode, cap = ("unit", 6) if trial % 2 == 0 else ("uniform_1_10", 12)
+        inst, cm, sets, table = _setup(900 + trial, 6, cap, 3, mode)
         index = build_arc_index(table, sets, inst.capacity)
         duals = _rand_duals(inst, cm, rnd)
         index.bind_duals(duals)
@@ -68,9 +72,13 @@ def test_offset_rate_matches_scan_oracle():
                     arc = table.arc_from_row(
                         u, table._row_index(u)[(table._target_key(v), mask)]
                     )
+                    if v != END_DEPOT and arc.demand + inst.demand[v] > inst.capacity:
+                        skipped += 1
+                        continue
                     rc = arc.cost - sum(duals.value(w) for w in (u,) + arc.intermediates)
                     worst = min(worst, rc / arc.demand)
         assert got == pytest.approx(max(0.0, -worst), abs=1e-12)
+    assert skipped > 0
 
 
 def test_post_offset_weights_nonnegative():

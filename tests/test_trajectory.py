@@ -15,9 +15,9 @@ from lacg import driver
 from lacg.arcs import BATCH_MIN, ArcIndex, compute_component_paths
 from lacg.driver import CgConfig, solve
 from lacg.dssr import price_elementary
-from lacg.instances import cost_matrix, generate_instance
-from lacg.neighbors import build_la_neighbors
-from lacg.pricing import compute_heuristic, solve_la_pricing
+from lacg.instances import END_DEPOT, cost_matrix, generate_instance
+from lacg.neighbors import bit, build_la_neighbors
+from lacg.pricing import _SINK_KEY, _SOURCE_KEY, _best_first, compute_heuristic, solve_la_pricing
 from lacg.rmp import initial_columns, solve_rmp
 
 # la_k -> (objective, (CG iterations, DSSR iterations, nodes expanded,
@@ -154,3 +154,59 @@ def test_search_without_heuristic_ignores_warm_caches(la_k):
             got.diagnostics.edges_relaxed) == (
         want.route.seq, float(want.reduced_cost).hex(), want.diagnostics.nodes_expanded,
         want.diagnostics.edges_relaxed)
+
+
+def test_index_holds_exactly_the_fitting_rows():
+    # la5 on capacity 20 with demands 1..10: 43 % of the table's rows land
+    # below their target's demand and are left out of the index
+    inst, sets, table, index, duals, res = _grown(5)
+    need = [0] + [inst.demand[v] for v in inst.customers]
+    total = kept = 0
+    for u in inst.customers:
+        vs, zds = table._arc_v[u].tolist(), table._arc_zd[u].tolist()
+        want = [r for r, (v, zd) in enumerate(zip(vs, zds)) if zd + need[v] <= inst.capacity]
+        got = []
+        for v in sorted(set(vs)):
+            bounds = index._bounds(u, v)
+            if bounds is not None:
+                a, b, shift = bounds
+                got.extend(range(a + shift, b + shift))
+        assert got == want
+        assert index._zd[u].tolist() == [zds[r] for r in want]
+        assert index._local[u].tolist() == table._arc_local[u][want].tolist()
+        assert len(index._cbar[u]) == len(want)
+        total += len(vs)
+        kept += len(want)
+    assert table.arc_count() == total
+    assert 0.4 < 1 - kept / total < 0.5
+
+
+def test_decode_rows_match_traversed_edges():
+    # after ng growth, every edge of a search's parent tree decodes to a
+    # table row whose arc leaves the edge's tail, reaches its head with the
+    # edge's demand, avoids the tail's memory and carries the head's memory
+    inst, sets, table, index, duals, res = _grown(5)
+    h = compute_heuristic(inst, sets, table, duals, index=index)
+    _, parent, _ = _best_first(inst, index, h, True)
+    grown = sinks = 0
+    for head, tail in parent.items():
+        if tail == _SOURCE_KEY:
+            continue
+        u, m1, d = tail
+        if head == _SINK_KEY:
+            arc = table.arc_from_row(u, index.best_sink_arc(u, m1, d))
+            assert arc.end == END_DEPOT and arc.demand <= d
+            sinks += 1
+        else:
+            v, m2, d2 = head
+            arc = table.arc_from_row(u, index.best_arc_between(u, m1, v, d - d2, m2))
+            assert (arc.end, arc.demand) == (v, d - d2)
+            assert d2 >= inst.demand[v]
+            carried = m1 | bit(u)
+            for w in arc.intermediates:
+                carried |= bit(w)
+            assert sets.ng_mask(v) & carried == m2
+            grown += m2 != 0
+        assert arc.start == u
+        assert not any(m1 & bit(w) for w in arc.intermediates)
+    assert grown > 0 and sinks > 0
