@@ -19,7 +19,16 @@ by the run's status:
     stalled     1  a failed self-check: pricing found a negative reduced
                    cost but no new column to add
     time_limit  3  stopped by --time-limit before optimality; the files hold
-                   the last restricted master
+                   the last restricted master.  The limit is checked after
+                   every relax-and-forbid iteration of a pricing call, so a
+                   run can overrun it by one search plus one RMP solve
+
+An optimal run also prints its certificate and writes it to the summary
+CSV: the least cover of a customer (>= 1), the total weight against the
+fleet, the least reduced cost of a pool column and the last exact pricing
+minimum under the final duals (both >= 0 up to 1e-6), and the dual
+objective, which must equal the objective.  Other runs leave those
+columns empty.
 """
 
 from __future__ import annotations
@@ -61,7 +70,9 @@ SOLVE_EXIT = {"optimal": 0, "stalled": 1, "time_limit": 3}
 SUMMARY_FIELDS = (
     "instance", "arm", "status", "objective", "iterations",
     "total_secs", "pricing_secs", "rmp_secs", "setup_secs", "repeated_columns",
+    "min_cover", "theta_sum", "min_pool_rc", "min_pricing_rc", "dual_objective",
 )
+CERTIFICATE_FIELDS = SUMMARY_FIELDS[-5:]
 
 
 def cmd_generate(args) -> int:
@@ -99,6 +110,7 @@ def cmd_solve(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     arm = config.arm
+    cert = res.certificate
     res.trace.write_csv(out / f"trace_{inst.name}_{arm}.csv")
     dump_columns(res.columns, res.theta, out / f"columns_{inst.name}_{arm}.csv")
     with open(out / f"summary_{inst.name}_{arm}.csv", "w", newline="", encoding="utf-8") as f:
@@ -108,7 +120,7 @@ def cmd_solve(args) -> int:
             inst.name, arm, res.status, repr(res.objective), res.iterations,
             f"{res.total_time:.6f}", f"{res.pricing_time:.6f}",
             f"{res.rmp_time:.6f}", f"{res.setup_time:.6f}", res.repeated_columns,
-        ])
+        ] + [repr(getattr(cert, name)) if cert else "" for name in CERTIFICATE_FIELDS])
     rows = res.trace.rows
     print(
         f"{inst.name} {arm} {res.status} objective={res.objective:.6f} "
@@ -117,6 +129,13 @@ def cmd_solve(args) -> int:
         f"edges={sum(r.edges_relaxed for r in rows)} "
         f"pivots={sum(r.pivots for r in rows)} replayed={sum(r.replayed for r in rows)}"
     )
+    if cert:
+        print(
+            f"certificate {'holds' if cert.holds() else 'FAILS'}: "
+            f"min_cover={cert.min_cover:.9f} theta_sum={cert.theta_sum:.6f}/{cert.fleet} "
+            f"min_pool_rc={cert.min_pool_rc:.3e} min_pricing_rc={cert.min_pricing_rc:.3e} "
+            f"dual_objective={cert.dual_objective:.6f}"
+        )
     return SOLVE_EXIT[res.status]
 
 

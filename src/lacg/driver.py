@@ -5,7 +5,11 @@ Per iteration the driver adds the exact pricing minimizer plus every bonus
 column the relaxation loop trimmed out along the way (single_column=True
 restricts to the minimizer alone).  Termination requires an *exact* pricing
 round with minimum reduced cost above -rc_stop_tol, which certifies LP
-optimality over all elementary routes.
+optimality over all elementary routes; the result then carries a
+Certificate, figures from which that claim can be checked.  A time limit is
+also passed into each pricing call as a deadline, so it bounds the work
+inside a call, not only between calls; one search and one RMP solve can
+still run past it.
 
 The trace keeps one row per iteration.  Wall times are accumulated on the
 result object and written to the run summary, never into the trace CSV, so
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .instances import Instance, cost_matrix
 from .neighbors import build_la_neighbors
-from .routes import DualSolution
+from .routes import DualSolution, reduced_cost
 from .arcs import compute_component_paths, ArcIndex
 from .dssr import price_elementary
 from .rmp import Column, make_column, initial_columns, solve_rmp, lagrangian_bound
@@ -87,6 +91,46 @@ class CgTrace:
                 ])
 
 
+@dataclass(frozen=True)
+class Certificate:
+    """Evidence that an `optimal` run's objective is the LP optimum over
+    elementary routes, from the returned columns, weights and duals.
+
+    The weights are feasible (every customer covered at least once, the
+    fleet respected), the duals are feasible (no pool column, and by the
+    last exact pricing call no elementary route, prices below zero), and the
+    two objectives meet.
+    """
+
+    min_cover: float  # least visit-weighted cover of a customer: >= 1
+    theta_sum: float  # total weight: <= fleet
+    fleet: int
+    min_pool_rc: float  # least reduced cost of a pool column: >= 0
+    min_pricing_rc: float  # minimum of the last exact pricing call: >= 0
+    objective: float  # of the weights
+    dual_objective: float  # sum(pi) - fleet * pi0: equals the objective
+
+    def holds(self, tol: float = 1e-6) -> bool:
+        return (self.min_cover >= 1 - tol and self.theta_sum <= self.fleet + tol
+                and self.min_pool_rc >= -tol and self.min_pricing_rc >= -tol
+                and abs(self.objective - self.dual_objective) <= tol * max(1.0, abs(self.objective)))
+
+
+def certify(inst: Instance, costs, columns: list[Column], theta: list[float],
+            duals: DualSolution, objective: float, min_pricing_rc: float) -> Certificate:
+    """The Certificate of an RMP solution and the pricing minimum under its duals."""
+    cover = dict.fromkeys(inst.customers, 0.0)
+    for col, t in zip(columns, theta):
+        for u, visits in col.cover.items():
+            cover[u] += visits * t
+    return Certificate(
+        min_cover=min(cover.values()), theta_sum=sum(theta), fleet=inst.fleet,
+        min_pool_rc=min(reduced_cost(col.route, duals, costs) for col in columns),
+        min_pricing_rc=min_pricing_rc, objective=objective,
+        dual_objective=sum(duals.value(u) for u in inst.customers) - inst.fleet * duals.pi0,
+    )
+
+
 @dataclass
 class CgResult:
     status: str  # optimal | time_limit | max_iterations | stalled
@@ -104,11 +148,13 @@ class CgResult:
     # column cannot price negative under the duals of an optimal RMP, so a
     # nonzero count means the duals and pricing disagree
     repeated_columns: int = 0
+    certificate: Certificate | None = None  # set when status is optimal
 
 
 def solve(inst: Instance, config: CgConfig | None = None) -> CgResult:
     config = config or CgConfig()
     t_start = time.perf_counter()
+    deadline = None if config.time_limit is None else t_start + config.time_limit
     costs = cost_matrix(inst)
     sets = build_la_neighbors(inst, config.la_k, costs)
     table = compute_component_paths(inst, sets, costs)
@@ -125,6 +171,7 @@ def solve(inst: Instance, config: CgConfig | None = None) -> CgResult:
     duals = DualSolution(pi={}, pi0=0.0)
     it = 0
     repeated = 0
+    certificate = None
     replay = Replay()  # each RMP only appends columns to the previous one
     while True:
         it += 1
@@ -139,6 +186,7 @@ def solve(inst: Instance, config: CgConfig | None = None) -> CgResult:
         res = price_elementary(
             inst, sets, table, duals,
             cycle_rule=config.cycle_rule, early_exit=config.early_exit, index=index,
+            deadline=deadline,
         )
         t2 = time.perf_counter()
         pricing_time += t2 - t1
@@ -160,6 +208,7 @@ def solve(inst: Instance, config: CgConfig | None = None) -> CgResult:
                 columns_added=0, pivots=sol.pivots, replayed=sol.replayed,
             ))
             status = "optimal"
+            certificate = certify(inst, costs, columns, sol.theta, duals, sol.objective, min_rc)
             break
 
         candidates: dict[tuple, tuple] = {}
@@ -185,11 +234,13 @@ def solve(inst: Instance, config: CgConfig | None = None) -> CgResult:
             edges_relaxed=res.edges_relaxed,
             columns_added=added, pivots=sol.pivots, replayed=sol.replayed,
         ))
-        if added == 0:
+        out_of_time = deadline is not None and time.perf_counter() > deadline
+        # a call cut short by the deadline may have no negative column to add
+        if added == 0 and (res.exact or not out_of_time):
             log.warning("no column added despite negative reduced cost; stopping")
             status = "stalled"
             break
-        if config.time_limit is not None and time.perf_counter() - t_start > config.time_limit:
+        if out_of_time:
             status = "time_limit"
             break
         if config.max_iterations is not None and it >= config.max_iterations:
@@ -201,5 +252,5 @@ def solve(inst: Instance, config: CgConfig | None = None) -> CgResult:
         status=status, objective=sol.objective, columns=columns, theta=sol.theta,
         duals=duals, trace=trace, iterations=it, total_time=total,
         pricing_time=pricing_time, rmp_time=rmp_time, setup_time=setup_time,
-        repeated_columns=repeated,
+        repeated_columns=repeated, certificate=certificate,
     )

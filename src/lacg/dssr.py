@@ -16,11 +16,14 @@ Every non-elementary relaxed route is also trimmed to its first visits; any
 trim with negative reduced cost is collected as a bonus column, and with
 early_exit="first_negative" the call returns such a column immediately
 (flagged inexact, so the caller still owes a final exact call before
-declaring convergence).
+declaring convergence).  A `deadline` (a time.perf_counter() value) is
+checked after each non-elementary iteration; once it has passed, the call
+returns the best trim found so far, likewise inexact.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 from .instances import Instance
@@ -107,8 +110,12 @@ def price_elementary(inst: Instance, sets: NeighborSets, table: ComponentPathTab
                      duals: DualSolution, *,
                      cycle_rule: str = "min_nodes_added",
                      early_exit: str = "off",
-                     index: ArcIndex | None = None) -> DssrResult:
-    """Exact minimum-reduced-cost elementary route under the given duals."""
+                     index: ArcIndex | None = None,
+                     deadline: float | None = None) -> DssrResult:
+    """Exact minimum-reduced-cost elementary route under the given duals.
+
+    Past `deadline` the result is the best trimmed route, with exact=False.
+    """
     if early_exit not in EARLY_EXIT:
         raise ValueError(f"unknown early-exit policy {early_exit!r}")
     sets.reset_ng()
@@ -170,6 +177,12 @@ def price_elementary(inst: Instance, sets: NeighborSets, table: ComponentPathTab
         if early_exit == "first_negative" and rc_trim < -1e-9:
             return DssrResult(
                 route=trimmed, reduced_cost=rc_trim, early_columns=early,
+                iterations=it, exact=False, log=log, nodes_expanded=total_nodes,
+                edges_relaxed=total_edges,
+            )
+        if deadline is not None and time.perf_counter() >= deadline:
+            return DssrResult(
+                route=best_elem, reduced_cost=best_rc, early_columns=early,
                 iterations=it, exact=False, log=log, nodes_expanded=total_nodes,
                 edges_relaxed=total_edges,
             )

@@ -132,6 +132,28 @@ def test_solve_exit_code_time_limit(tmp_path, capsys):
     assert "time_limit" in printed and "pivots=" in printed and "replayed=" in printed
 
 
+def test_solve_writes_certificate(tmp_path, capsys):
+    inst = generate_instance(4, 7, 4, "unit")
+    ipath = tmp_path / "tiny.txt"
+    write_instance(inst, ipath)
+    out = tmp_path / "r"
+    assert main(["solve", "--instance", str(ipath), "--la-neighbors", "5",
+                 "--out", str(out)]) == 0
+    assert "certificate holds: min_cover=" in capsys.readouterr().out
+    with open(next(out.glob("summary_*.csv"))) as f:
+        row = next(csv.DictReader(f))
+    assert float(row["min_cover"]) >= 1 - 1e-6
+    assert float(row["theta_sum"]) <= inst.fleet + 1e-6
+    assert min(float(row["min_pool_rc"]), float(row["min_pricing_rc"])) >= -1e-6
+    assert abs(float(row["dual_objective"]) - float(row["objective"])) <= 1e-6
+    # a run stopped early has no certificate
+    assert main(["solve", "--instance", str(ipath), "--time-limit", "0",
+                 "--out", str(tmp_path / "t")]) == 3
+    assert "certificate" not in capsys.readouterr().out
+    with open(next((tmp_path / "t").glob("summary_*.csv"))) as f:
+        assert next(csv.DictReader(f))["min_cover"] == ""
+
+
 def test_solve_exit_code_stalled(tmp_path, monkeypatch):
     real = cli.solve
 

@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from lacg.instances import Instance, generate_instance
-from lacg.driver import CgConfig, solve
+from lacg.instances import Instance, cost_matrix, generate_instance
+from lacg.driver import CgConfig, certify, solve
 from lacg.dssr import DssrResult
-from lacg.routes import make_route
+from lacg.routes import DualSolution, make_route
 from lacg import driver, dssr, oracle
 
 
@@ -83,6 +83,43 @@ def test_time_limit_returns_best_so_far():
     res = solve(inst, CgConfig(la_k=0, time_limit=0.0))
     assert res.status == "time_limit"
     assert res.objective > 0
+
+
+def test_time_limit_bounds_the_pricing_call():
+    # the first exact call here needs several DSSR iterations; a spent time
+    # limit stops it after the first
+    inst = generate_instance(105, 16, 20, "uniform_1_10")
+    first = solve(inst, CgConfig(la_k=0, max_iterations=1)).trace.rows[0]
+    assert first.dssr_iterations > 1
+    res = solve(inst, CgConfig(la_k=0, time_limit=0.0))
+    assert res.status == "time_limit" and res.iterations == 1
+    assert res.trace.rows[0].dssr_iterations == 1
+    assert res.certificate is None
+
+
+def test_optimal_run_is_certified():
+    inst = generate_instance(38, 7, 4, "unit")
+    res = solve(inst, CgConfig(la_k=2))
+    cert = res.certificate
+    assert res.status == "optimal" and cert.holds()
+    assert cert.min_pricing_rc == res.trace.rows[-1].min_reduced_cost
+    assert cert.objective == res.objective and cert.fleet == inst.fleet
+    costs = cost_matrix(inst)
+
+    def recertify(duals):
+        return certify(inst, costs, res.columns, res.theta, duals, res.objective,
+                       cert.min_pricing_rc)
+
+    assert recertify(res.duals) == cert
+    # one dual entry moved by one unit breaks it: a used column then prices
+    # negative, or the dual objective leaves the objective
+    for u in inst.customers:
+        for step in (1.0, -1.0):
+            pi = dict(res.duals.pi)
+            pi[u] = max(0.0, pi.get(u, 0.0) + step)
+            if pi[u] != res.duals.value(u):
+                assert not recertify(DualSolution(pi=pi, pi0=res.duals.pi0)).holds()
+    assert not recertify(DualSolution(pi=res.duals.pi, pi0=res.duals.pi0 + 1.0)).holds()
 
 
 def test_max_iterations_status():

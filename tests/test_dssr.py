@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -109,6 +110,21 @@ def test_early_exit_first_negative():
             assert is_elementary(res.route)
             assert res.reduced_cost < 0
     assert hit_inexact
+
+
+def test_past_deadline_stops_after_first_iteration():
+    inst, cm, sets, table = _setup(105, 16, 20, 5, "uniform_1_10")
+    duals = solve_rmp(initial_columns(inst, cm), inst.n, inst.fleet).duals
+    exact = price_elementary(inst, sets, table, duals)
+    assert exact.exact and exact.iterations > 1
+    cut = price_elementary(inst, sets, table, duals, deadline=time.perf_counter())
+    assert not cut.exact and cut.iterations == 1 and len(cut.log) == 1
+    # the best trim of the one relaxed route, and the bonus columns so far
+    assert not cut.log[0].elementary
+    assert is_elementary(cut.route)
+    assert cut.reduced_cost == reduced_cost(cut.route, duals, cm)
+    assert cut.reduced_cost >= exact.reduced_cost - 1e-9
+    assert cut.early_columns == exact.early_columns[:len(cut.early_columns)]
 
 
 def test_select_cycle_single_option():
