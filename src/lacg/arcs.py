@@ -845,11 +845,8 @@ class ArcIndex:
 
     def _candidate_rows(self, u: int, v: int, m1: int):
         """Fitting rows toward v passing the M1 filter, as positions in u's
-        slices (zd-sorted), and the shift to table rows; None if none fit."""
-        bounds = self._bounds(u, v)
-        if bounds is None:
-            return None, 0
-        a, b, shift = bounds
+        slices (zd-sorted), and the shift from those to table rows."""
+        a, b, shift = self._bounds(u, v) or (0, 0, 0)
         rows = np.arange(a, b)
         if m1:
             rows = rows[(self._local[u][a:b] & np.uint32(self.table.to_local(u, m1))) == 0]
@@ -860,7 +857,7 @@ class ArcIndex:
         (u,M1,*) -> (v,M2,*)."""
         table = self.table
         rows, shift = self._candidate_rows(u, v, m1)
-        if rows is None or not len(rows):
+        if not len(rows):
             raise RuntimeError("no arc matches a traversed edge")
         lo, hi = np.searchsorted(self._zd[u][rows], (zd, zd + 1))
         rows = rows[lo:hi]
@@ -876,7 +873,7 @@ class ArcIndex:
     def best_sink_arc(self, u: int, m1: int, d: int) -> int:
         """Table row of the cheapest sink arc from (u, M1, d)."""
         rows, shift = self._candidate_rows(u, _SINK, m1)
-        if rows is None or not len(rows):
+        if not len(rows):
             raise RuntimeError("no sink arc fits the remaining capacity")
         rows = rows[: np.searchsorted(self._zd[u][rows], d + 1)]
         if not len(rows):

@@ -24,8 +24,8 @@ by the run's status:
                    run can overrun it by one search plus one RMP solve
 
 An optimal run also prints its certificate and writes it to the summary
-CSV: the least cover of a customer (>= 1), the total weight against the
-fleet, the least reduced cost of a pool column and the last exact pricing
+CSV: the least cover of a customer (>= 1), the least weight (>= 0), the
+total weight against the fleet, the least reduced cost of a pool column and the last exact pricing
 minimum under the final duals (both >= 0 up to 1e-6), and the dual
 objective, which must equal the objective.  Other runs leave those
 columns empty.
@@ -70,9 +70,9 @@ SOLVE_EXIT = {"optimal": 0, "stalled": 1, "time_limit": 3}
 SUMMARY_FIELDS = (
     "instance", "arm", "status", "objective", "iterations",
     "total_secs", "pricing_secs", "rmp_secs", "setup_secs", "repeated_columns",
-    "min_cover", "theta_sum", "min_pool_rc", "min_pricing_rc", "dual_objective",
+    "min_cover", "min_theta", "theta_sum", "min_pool_rc", "min_pricing_rc", "dual_objective",
 )
-CERTIFICATE_FIELDS = SUMMARY_FIELDS[-5:]
+CERTIFICATE_FIELDS = SUMMARY_FIELDS[-6:]
 
 
 def cmd_generate(args) -> int:
@@ -132,7 +132,8 @@ def cmd_solve(args) -> int:
     if cert:
         print(
             f"certificate {'holds' if cert.holds() else 'FAILS'}: "
-            f"min_cover={cert.min_cover:.9f} theta_sum={cert.theta_sum:.6f}/{cert.fleet} "
+            f"min_cover={cert.min_cover:.9f} min_theta={cert.min_theta:.3e} "
+            f"theta_sum={cert.theta_sum:.6f}/{cert.fleet} "
             f"min_pool_rc={cert.min_pool_rc:.3e} min_pricing_rc={cert.min_pricing_rc:.3e} "
             f"dual_objective={cert.dual_objective:.6f}"
         )

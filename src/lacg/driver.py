@@ -96,13 +96,14 @@ class Certificate:
     """Evidence that an `optimal` run's objective is the LP optimum over
     elementary routes, from the returned columns, weights and duals.
 
-    The weights are feasible (every customer covered at least once, the
-    fleet respected), the duals are feasible (no pool column, and by the
+    The weights are feasible (nonnegative, every customer covered at least
+    once, the fleet respected), the duals are feasible (no pool column, and by the
     last exact pricing call no elementary route, prices below zero), and the
     two objectives meet.
     """
 
     min_cover: float  # least visit-weighted cover of a customer: >= 1
+    min_theta: float  # least weight: >= 0
     theta_sum: float  # total weight: <= fleet
     fleet: int
     min_pool_rc: float  # least reduced cost of a pool column: >= 0
@@ -111,7 +112,8 @@ class Certificate:
     dual_objective: float  # sum(pi) - fleet * pi0: equals the objective
 
     def holds(self, tol: float = 1e-6) -> bool:
-        return (self.min_cover >= 1 - tol and self.theta_sum <= self.fleet + tol
+        return (self.min_cover >= 1 - tol and self.min_theta >= -tol
+                and self.theta_sum <= self.fleet + tol
                 and self.min_pool_rc >= -tol and self.min_pricing_rc >= -tol
                 and abs(self.objective - self.dual_objective) <= tol * max(1.0, abs(self.objective)))
 
@@ -124,7 +126,8 @@ def certify(inst: Instance, costs, columns: list[Column], theta: list[float],
         for u, visits in col.cover.items():
             cover[u] += visits * t
     return Certificate(
-        min_cover=min(cover.values()), theta_sum=sum(theta), fleet=inst.fleet,
+        min_cover=min(cover.values()), min_theta=min(theta), theta_sum=sum(theta),
+        fleet=inst.fleet,
         min_pool_rc=min(reduced_cost(col.route, duals, costs) for col in columns),
         min_pricing_rc=min_pricing_rc, objective=objective,
         dual_objective=sum(duals.value(u) for u in inst.customers) - inst.fleet * duals.pi0,

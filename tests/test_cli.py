@@ -143,6 +143,7 @@ def test_solve_writes_certificate(tmp_path, capsys):
     with open(next(out.glob("summary_*.csv"))) as f:
         row = next(csv.DictReader(f))
     assert float(row["min_cover"]) >= 1 - 1e-6
+    assert float(row["min_theta"]) >= -1e-6
     assert float(row["theta_sum"]) <= inst.fleet + 1e-6
     assert min(float(row["min_pool_rc"]), float(row["min_pricing_rc"])) >= -1e-6
     assert abs(float(row["dual_objective"]) - float(row["objective"])) <= 1e-6
