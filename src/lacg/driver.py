@@ -23,7 +23,7 @@ import logging
 import time
 from dataclasses import dataclass, field
 
-from .instances import Instance, cost_matrix
+from .instances import Instance, CostMatrix, cost_matrix
 from .neighbors import build_la_neighbors
 from .routes import DualSolution, reduced_cost
 from .arcs import compute_component_paths, ArcIndex
@@ -118,7 +118,7 @@ class Certificate:
                 and abs(self.objective - self.dual_objective) <= tol * max(1.0, abs(self.objective)))
 
 
-def certify(inst: Instance, costs, columns: list[Column], theta: list[float],
+def certify(inst: Instance, costs: CostMatrix, columns: list[Column], theta: list[float],
             duals: DualSolution, objective: float, min_pricing_rc: float) -> Certificate:
     """The Certificate of an RMP solution and the pricing minimum under its duals."""
     cover = dict.fromkeys(inst.customers, 0.0)
