@@ -47,6 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -383,6 +384,21 @@ def compute_component_paths(inst: Instance, sets: NeighborSets,
 BATCH_MIN = 16
 
 
+class _OwnerRows(NamedTuple):
+    """One owner's fitting rows in ArcIndex, positions local to the owner.
+
+    Its fitting rows toward target v are targets[v] = (a, b, shift): rows
+    a..b-1 here, and row i is table row i + shift.
+    """
+
+    local: np.ndarray   # la-local subset bits per row
+    zd: np.ndarray      # demand per row
+    starts: np.ndarray  # first row of each kept (target, demand) group
+    gv: np.ndarray      # target of each group
+    gz: np.ndarray      # demand of each group
+    targets: dict
+
+
 class _Group:
     """Minimum reduced cost per (carried memory, demand) toward one target.
 
@@ -565,60 +581,47 @@ class ArcIndex:
         grp_v, grp_zd = cat(table._grp_v), cat(table._grp_zd)
         need = np.array([0] + [self.inst.demand[v] for v in owners])
         gfit = grp_zd + need[grp_v] <= self.d0
-        if gfit.all():  # nothing to drop
-            pick = cat
-        else:
-            fit = np.repeat(gfit, sizes)
-
-            def pick(arrays):  # the fitting rows of a per-owner table array
-                return np.concatenate([arrays[u][fit[a:b]]
-                                       for u, a, b in zip(owners, row_off, row_off[1:])])
+        self._fit = np.repeat(gfit, sizes)
         kept = sizes[gfit]
         # fitting rows and kept groups before each owner's
         grp_bounds = np.cumsum([0] + groups)
         fit_off = np.concatenate(([0], np.cumsum(sizes * gfit)))[grp_bounds]
         grp_off = np.concatenate(([0], np.cumsum(gfit)))[grp_bounds]
         sub_off = np.cumsum([0] + [len(table.subsets[u]) for u in owners])
-        self._flat_cost = pick(table._arc_cost)
-        self._flat_subset = pick(table._arc_subset) + np.repeat(sub_off[:-1], np.diff(fit_off))
+        self._flat_cost = cat(table._arc_cost)[self._fit]
+        self._flat_subset = (cat(table._arc_subset)[self._fit]
+                             + np.repeat(sub_off[:-1], np.diff(fit_off)))
         self._flat_starts = np.cumsum(kept) - kept
         self._flat_grp_zd = grp_zd[gfit]
         # (owner, target, demand) of every group, to scatter group minima
         self._grp_at = (np.repeat(np.array(owners, dtype=np.intp), groups)[gfit],
                         grp_v[gfit], self._flat_grp_zd)
         self._flat_cbar = np.empty_like(self._flat_cost)
-        flat_local = pick(table._arc_local)
-        flat_zd = np.repeat(self._flat_grp_zd, kept)
-        own_starts = self._flat_starts - np.repeat(fit_off[:-1], np.diff(grp_off))
-        # per-owner slices, indexed by owner id: the fitting rows' reduced
-        # costs, subset bits and demands, and (starts, targets, demands) of
-        # their groups
-        self._cbar, self._local, self._zd, self._grp = [None], [None], [None], [None]
         fo, go = fit_off.tolist(), grp_off.tolist()
-        for a, b, g, h in zip(fo, fo[1:], go, go[1:]):
-            self._cbar.append(self._flat_cbar[a:b])
-            self._local.append(flat_local[a:b])
-            self._zd.append(flat_zd[a:b])
-            self._grp.append((own_starts[g:h], self._grp_at[1][g:h], self._flat_grp_zd[g:h]))
-        self._targets: dict[int, dict[int, tuple[int, int, int]]] = {}
+        # _cbar[u]: owner u's fitting rows of the reduced-cost block, as a view
+        self._cbar = [None] + [self._flat_cbar[a:b] for a, b in zip(fo, fo[1:])]
+        # where each owner's rows, fitting rows and kept groups start
+        self._spans = [None] + list(zip(row_off, fo, go, go[1:]))
+        self._owner_rows: list[_OwnerRows | None] = [None] * (self.inst.n + 1)
 
-    def _bounds(self, u: int, v: int) -> tuple[int, int, int] | None:
-        """(a, b, shift): u's fitting rows toward target v are a..b-1 of
-        u's slices, and row i there is table row i + shift; None if none fit.
-
-        Built per owner on first use, from the owner's kept groups.
-        """
-        got = self._targets.get(u)
+    def _rows(self, u: int) -> _OwnerRows:
+        """Owner u's fitting rows, built on first use."""
+        got = self._owner_rows[u]
         if got is None:
-            starts, gv, _ = self._grp[u]
+            table = self.table
+            r0, f0, g0, g1 = self._spans[u]
+            fit = self._fit[r0:r0 + len(table._arc_cost[u])]
+            starts = self._flat_starts[g0:g1] - f0
+            gv, gz = self._grp_at[1][g0:g1], self._flat_grp_zd[g0:g1]
+            zd = table._arc_zd[u][fit]
             first = np.flatnonzero(np.r_[True, gv[1:] != gv[:-1]])
-            ends = np.r_[starts[first[1:]], len(self._zd[u])].tolist()
-            table_rows = self.table._rows_bounds[u]
-            got = self._targets[u] = {
-                v: (a, b, table_rows[v][0] - a)
-                for v, a, b in zip(gv[first].tolist(), starts[first].tolist(), ends)
-            }
-        return got.get(v)
+            ends = np.r_[starts[first[1:]], len(zd)].tolist()
+            table_rows = table._rows_bounds[u]
+            targets = {v: (a, b, table_rows[v][0] - a)
+                       for v, a, b in zip(gv[first].tolist(), starts[first].tolist(), ends)}
+            got = self._owner_rows[u] = _OwnerRows(table._arc_local[u][fit], zd, starts, gv, gz,
+                                                   targets)
+        return got
 
     def bind_duals(self, duals) -> None:
         if duals is self._duals:
@@ -722,8 +725,9 @@ class ArcIndex:
         if got is not None:
             return got
         cbar = self._cbar[u]
-        sel = (self._local[u] & np.uint32(self.table.to_local(u, fkey))) == 0
-        starts, gv, gz = self._grp[u]
+        own = self._rows(u)
+        starts, gv, gz = own.starts, own.gv, own.gz
+        sel = (own.local & np.uint32(self.table.to_local(u, fkey))) == 0
         # arcs are (target, demand)-sorted: one masked reduceat per layer
         mins = np.minimum.reduceat(np.where(sel, cbar, np.inf), starts)
         cust = gv != _SINK
@@ -747,7 +751,8 @@ class ArcIndex:
         return _Bucket(dense, dirty, sink_pref)
 
     def _group_dirty(self, u: int, m1: int, v: int, dirty: dict) -> None:
-        bounds = self._bounds(u, v)
+        own = self._rows(u)
+        bounds = own.targets.get(v)
         if bounds is None or (m1 >> (v - 1)) & 1:
             dirty.pop(v, None)
             return
@@ -759,9 +764,9 @@ class ArcIndex:
             return
         table = self.table
         a, b, _ = bounds
-        local_v = self._local[u][a:b]
+        local_v = own.local[a:b]
         cbar_v = self._cbar[u][a:b]
-        zd_v = self._zd[u][a:b]
+        zd_v = own.zd[a:b]
         if m1:
             keep = (local_v & np.uint32(table.to_local(u, m1))) == 0
             local_v, cbar_v, zd_v = local_v[keep], cbar_v[keep], zd_v[keep]
@@ -846,24 +851,26 @@ class ArcIndex:
     def _candidate_rows(self, u: int, v: int, m1: int):
         """Fitting rows toward v passing the M1 filter, as positions in u's
         slices (zd-sorted), and the shift from those to table rows."""
-        a, b, shift = self._bounds(u, v) or (0, 0, 0)
+        own = self._rows(u)
+        a, b, shift = own.targets.get(v, (0, 0, 0))
         rows = np.arange(a, b)
         if m1:
-            rows = rows[(self._local[u][a:b] & np.uint32(self.table.to_local(u, m1))) == 0]
+            rows = rows[(own.local[a:b] & np.uint32(self.table.to_local(u, m1))) == 0]
         return rows, shift
 
     def best_arc_between(self, u: int, m1: int, v: int, zd: int, m2: int) -> int:
         """Table row of the arc realizing the bucket weight of edge
         (u,M1,*) -> (v,M2,*)."""
         table = self.table
+        own = self._rows(u)
         rows, shift = self._candidate_rows(u, v, m1)
         if not len(rows):
             raise RuntimeError("no arc matches a traversed edge")
-        lo, hi = np.searchsorted(self._zd[u][rows], (zd, zd + 1))
+        lo, hi = np.searchsorted(own.zd[rows], (zd, zd + 1))
         rows = rows[lo:hi]
         ng_v = self.sets.ng_mask(v)
         if ng_v:
-            outside, m2s = self._memories(u, m1, ng_v, self._local[u][rows])
+            outside, m2s = self._memories(u, m1, ng_v, own.local[rows])
             same_outside = outside == m2 & ~self.sets.la_mask(u)
             rows = rows[(m2s == table.to_local(u, m2)) & same_outside]
         if not len(rows):
@@ -875,7 +882,7 @@ class ArcIndex:
         rows, shift = self._candidate_rows(u, _SINK, m1)
         if not len(rows):
             raise RuntimeError("no sink arc fits the remaining capacity")
-        rows = rows[: np.searchsorted(self._zd[u][rows], d + 1)]
+        rows = rows[: np.searchsorted(self._rows(u).zd[rows], d + 1)]
         if not len(rows):
             raise RuntimeError("no sink arc fits the remaining capacity")
         return int(rows[np.argmin(self._cbar[u][rows])]) + shift

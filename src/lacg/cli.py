@@ -17,7 +17,8 @@ by the run's status:
     optimal     0  the LP optimum over elementary routes, certified by an
                    exact pricing round
     stalled     1  a failed self-check: pricing found a negative reduced
-                   cost but no new column to add
+                   cost but no new column to add; an optimal run whose
+                   certificate fails its check also exits 1
     time_limit  3  stopped by --time-limit before optimality; the files hold
                    the last restricted master.  The limit is checked after
                    every relax-and-forbid iteration of a pricing call, so a
@@ -50,6 +51,8 @@ from .dssr import price_elementary
 from . import oracle
 from .driver import CgConfig, solve
 from .rmp import dump_columns
+
+log = logging.getLogger(__name__)
 
 # (capacity, customers, count) rows of the two benchmark datasets
 DATASET1 = [
@@ -138,6 +141,9 @@ def cmd_solve(args) -> int:
             f"min_pool_rc={cert.min_pool_rc:.3e} min_pricing_rc={cert.min_pricing_rc:.3e} "
             f"dual_objective={cert.dual_objective:.6f}"
         )
+        if not cert.holds():
+            log.warning("the certificate of the optimal run fails its check")
+            return 1
     return SOLVE_EXIT[res.status]
 
 

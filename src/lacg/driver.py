@@ -238,8 +238,9 @@ def solve(inst: Instance, config: CgConfig | None = None) -> CgResult:
             columns_added=added, pivots=sol.pivots, replayed=sol.replayed,
         ))
         out_of_time = deadline is not None and time.perf_counter() > deadline
-        # a call cut short by the deadline may have no negative column to add
-        if added == 0 and (res.exact or not out_of_time):
+        # a route priced negative but nothing new came of it; a call cut
+        # short by the deadline with no negative route ends as time_limit
+        if added == 0 and (min_rc < -config.rc_add_tol or not out_of_time):
             log.warning("no column added despite negative reduced cost; stopping")
             status = "stalled"
             break

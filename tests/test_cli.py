@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import logging
 import subprocess
 import sys
@@ -168,6 +169,25 @@ def test_solve_exit_code_stalled(tmp_path, monkeypatch):
     ipath = tmp_path / "tiny.txt"
     write_instance(inst, ipath)
     assert main(["solve", "--instance", str(ipath), "--out", str(tmp_path / "r")]) == 1
+
+
+def test_solve_exit_code_failed_certificate(tmp_path, monkeypatch, capsys, caplog):
+    # a certificate that does not hold turns an optimal run's exit code to 1
+    real = driver.certify
+
+    def broken(*args):
+        return dataclasses.replace(real(*args), min_pool_rc=-1.0)
+
+    monkeypatch.setattr(driver, "certify", broken)
+    inst = generate_instance(4, 7, 4, "unit")
+    ipath = tmp_path / "tiny.txt"
+    write_instance(inst, ipath)
+    assert main(["solve", "--instance", str(ipath), "--out", str(tmp_path / "r")]) == 1
+    assert "certificate FAILS" in capsys.readouterr().out
+    assert any("fails its check" in r.getMessage() for r in caplog.records)
+    with open(next((tmp_path / "r").glob("summary_*.csv"))) as f:
+        row = next(csv.DictReader(f))
+    assert row["status"] == "optimal" and float(row["min_pool_rc"]) == -1.0
 
 
 def test_log_level_toggles_driver_warning(tmp_path, monkeypatch, caplog):

@@ -169,6 +169,25 @@ def test_repeated_columns_counted(monkeypatch):
     assert res.iterations == 1 and res.trace.rows[0].columns_added == 0
 
 
+def test_past_deadline_repeat_still_stalls(monkeypatch):
+    # a call that ends inexact past the deadline: a negative pool column is
+    # still a failed self-check, a cut call with nothing negative is not
+    inst = generate_instance(38, 7, 4, "unit")
+    route = make_route([1], inst)
+
+    def inexact(rc):
+        def price(inst, sets, table, duals, **kwargs):
+            return DssrResult(route=route, reduced_cost=rc, early_columns=[],
+                              iterations=1, exact=False)
+        return price
+
+    for rc, status in ((-1.0, "stalled"), (0.5, "time_limit")):
+        monkeypatch.setattr(driver, "price_elementary", inexact(rc))
+        res = solve(inst, CgConfig(la_k=2, time_limit=0.0))
+        assert res.status == status and res.iterations == 1
+        assert res.repeated_columns == (rc < 0)
+
+
 def test_trace_counts_edges_of_every_search(tmp_path, monkeypatch):
     searched = []
     real = dssr.solve_la_pricing

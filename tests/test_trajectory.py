@@ -165,15 +165,15 @@ def test_index_holds_exactly_the_fitting_rows():
     for u in inst.customers:
         vs, zds = table._arc_v[u].tolist(), table._arc_zd[u].tolist()
         want = [r for r, (v, zd) in enumerate(zip(vs, zds)) if zd + need[v] <= inst.capacity]
+        own = index._rows(u)
         got = []
         for v in sorted(set(vs)):
-            bounds = index._bounds(u, v)
-            if bounds is not None:
-                a, b, shift = bounds
+            if v in own.targets:
+                a, b, shift = own.targets[v]
                 got.extend(range(a + shift, b + shift))
         assert got == want
-        assert index._zd[u].tolist() == [zds[r] for r in want]
-        assert index._local[u].tolist() == table._arc_local[u][want].tolist()
+        assert own.zd.tolist() == [zds[r] for r in want]
+        assert own.local.tolist() == table._arc_local[u][want].tolist()
         assert len(index._cbar[u]) == len(want)
         total += len(vs)
         kept += len(want)
