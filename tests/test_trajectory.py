@@ -77,6 +77,42 @@ def test_pricing_calls_digest(case, monkeypatch):
     assert hashlib.sha256(repr(calls).encode()).hexdigest() == CALL_DIGESTS[case]
 
 
+# (seed, n, capacity, demand mode, la_k) -> sha256 of the arc index's flat
+# block (costs, global subset ids, group starts, group keys) and of every
+# owner's fitting rows (subset bits, demands, groups, target bounds): the
+# search reads these bytes, so a change to the table layout must keep them
+INDEX_DIGESTS = {
+    (105, 16, 20, "uniform_1_10", 5):
+        "5d3ce169f695385c6568985637a6daf53ebe9e92d26b58abbb0d7307a6972701",
+    (3, 66, 3, "unit", 5):
+        "1815b394688413e3c830940895d5f8f680397faf071e5f6366ba3b8e6085f3fe",
+}
+
+
+@pytest.mark.parametrize("case", sorted(INDEX_DIGESTS),
+                         ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}-la{c[4]}")
+def test_index_layout_pinned(case):
+    seed, n, cap, mode, la_k = case
+    inst = generate_instance(seed, n, cap, mode)
+    costs = cost_matrix(inst)
+    sets = build_la_neighbors(inst, la_k, costs)
+    index = ArcIndex(compute_component_paths(inst, sets, costs), sets, inst.capacity)
+    h = hashlib.sha256()
+
+    def add(a):
+        h.update(a.dtype.str.encode())
+        h.update(a.tobytes())
+
+    for a in (index._flat_cost, index._flat_subset, index._flat_starts, *index._grp_at):
+        add(a)
+    for u in inst.customers:
+        own = index._rows(u)
+        for a in (own.local, own.zd, own.starts, own.gv, own.gz):
+            add(a)
+        h.update(repr(sorted(own.targets.items())).encode())
+    assert h.hexdigest() == INDEX_DIGESTS[case]
+
+
 def _grown(la_k):
     """Index and sets after one exact pricing call under the first RMP duals."""
     inst = _instance()
