@@ -16,7 +16,7 @@ from .arcs import (
     compute_component_paths, build_arc_index,
 )
 from .pricing import (
-    HeuristicTable, PricingResult, compute_heuristic, solve_la_pricing,
+    PricingResult, compute_heuristic, solve_la_pricing,
 )
 from .dssr import CycleChoice, DssrResult, price_elementary, select_cycle
 from .rmp import (
@@ -35,7 +35,7 @@ __all__ = [
     "is_la_route", "trim_to_elementary",
     "LaArc", "ComponentPathTable", "ArcIndex",
     "compute_component_paths", "build_arc_index",
-    "HeuristicTable", "PricingResult",
+    "PricingResult",
     "compute_heuristic", "solve_la_pricing",
     "CycleChoice", "DssrResult", "price_elementary", "select_cycle",
     "Column", "RmpSolution", "make_column", "initial_columns", "solve_rmp",

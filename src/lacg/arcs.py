@@ -24,14 +24,18 @@ lexicographically smallest; tied arc candidates end at different w, so the arc
 layer compares their paths.  Every owner sums the same costs in the same
 order, so a subset's seg costs agree across owners bit for bit.  Subsets whose
 demand cannot fit in a vehicle alongside u are skipped: such arcs could never
-appear in a feasible route.  Each arc row stores its subset's local bits, and
-every per-row subset test (M1 filters, carried memories, decode) runs on them.
+appear in a feasible route.  u's arcs form one grid of targets x subsets
+(see ComponentPathTable): table row t * subsets + j is grid cell (t, j), so
+the rows toward one target are contiguous and sorted by demand.  Every
+per-row subset test (M1 filters, carried memories, decode) runs on the
+subsets' la(u)-local bits.
 
 ArcIndex owns the dual-dependent view used by one pricing call.  It holds
 only the arc rows that fit a vehicle: every sink row, and the rows toward a
-customer v whose demand zd leaves room for v's (zd + demand(v) <= capacity).
-Any other row lands below v's demand and no route can traverse it; the table
-keeps it, so arc counts and lookups are unchanged.  Over the fitting rows
+customer v whose demand zd leaves room for v's (zd + demand(v) <= capacity),
+which are a prefix of v's grid row.  Any other row lands below v's demand
+and no route can traverse it; the table keeps it, so arc counts and lookups
+are unchanged.  Over the fitting rows
 the index holds arc reduced costs (priced for all owners in one pass over a
 flat copy of those rows that the index builds once), the per-(u,
 visited-memory) successor buckets consumed by the search, and the lazily
@@ -81,15 +85,24 @@ class ComponentPathTable:
     """Arc rows of one instance and fixed la sets, and the subset DP behind them.
 
     Per owner u, with k = |la(u)|, subset ids i and local indices v, w:
-      subsets[u]      global masks of the capacity-feasible subsets of la(u),
-                      by size, then in itertools.combinations order
-      _pos[u]         (2**k,) subset id of each local mask, -1 if infeasible
+      _pos[u]         (2**k,) subset id of each local mask, -1 if infeasible;
+                      ids run by size, then in itertools.combinations order
       _seg_cost[u]    (subsets, k, k) seg(i, v, w); +inf where v or w is not a
                       member, or v == w in a subset of two or more
       _seg_next[u]    int8, the customer after v on that path
       _head_cost[u]   (subsets, k + 1) head(i, w); column k is u itself, which
                       only the empty subset reaches, at cost 0
       _head_first[u]  int8, the customer after u on that path
+      _subset_indicator[u]  (subsets, max(1, k)) member bits, by subset id
+
+    u's arcs form one grid of targets x subsets, targets in ascending id
+    with the sink (0) first, subsets in demand order, ties by id; table row
+    t * subsets + j is grid cell (t, j):
+      _sub_id[u], _sub_zd[u], _sub_local[u]  per subset j: its id, its demand
+                      with u's own, its la(u)-local bits
+      _targets[u]     target ids
+      _arc_cost[u]    (targets, subsets) cost of arc (u, target t, subset j)
+      _arc_wstar[u]   its last customer before the target
     """
 
     def __init__(self, inst: Instance, sets: NeighborSets, costs: CostMatrix | None = None):
@@ -103,7 +116,6 @@ class ComponentPathTable:
         self.sets = sets
         self.costs = costs or cost_matrix(inst)
         self._mask_demand: dict[int, int] = {0: 0}
-        self.subsets: dict[int, list[int]] = {}
         self._la_pos = {u: {w: 1 << j for j, w in enumerate(sets.la(u))}
                         for u in inst.customers}
         self._pos: dict[int, np.ndarray] = {}
@@ -111,18 +123,13 @@ class ComponentPathTable:
         self._seg_next: dict[int, np.ndarray] = {}
         self._head_cost: dict[int, np.ndarray] = {}
         self._head_first: dict[int, np.ndarray] = {}
-        self._arc_v: dict[int, np.ndarray] = {}
-        self._arc_local: dict[int, np.ndarray] = {}
-        self._arc_subset: dict[int, np.ndarray] = {}
-        self._arc_zd: dict[int, np.ndarray] = {}
+        self._subset_indicator: dict[int, np.ndarray] = {}
+        self._sub_id: dict[int, np.ndarray] = {}
+        self._sub_zd: dict[int, np.ndarray] = {}
+        self._sub_local: dict[int, np.ndarray] = {}
+        self._targets: dict[int, np.ndarray] = {}
         self._arc_cost: dict[int, np.ndarray] = {}
         self._arc_wstar: dict[int, np.ndarray] = {}
-        self._arc_row: dict[int, dict[tuple[int, int], int]] = {}
-        self._rows_bounds: dict[int, dict[int, tuple[int, int]]] = {}
-        self._grp_starts: dict[int, np.ndarray] = {}
-        self._grp_v: dict[int, np.ndarray] = {}
-        self._grp_zd: dict[int, np.ndarray] = {}
-        self._subset_indicator: dict[int, np.ndarray] = {}
         for u in inst.customers:
             self._build(u)
 
@@ -207,49 +214,27 @@ class ComponentPathTable:
 
         excluded = set(nbrs) | {u}
         targets = [v for v in inst.customers if v not in excluded]
-        t_idx = np.array([cm.index(v) for v in targets] + [cm.index(END_DEPOT)],
-                         dtype=np.intp)
-        t_ids = np.array(targets + [_SINK], dtype=np.int32)
-        T = len(t_ids)
+        t_idx = np.array([cm.index(END_DEPOT)] + [cm.index(v) for v in targets], dtype=np.intp)
         ends = np.r_[la, u]
-        grid = head[:, :, None] + m[np.ix_(ends, t_idx)]
+        by_zd = np.argsort(demand[local], kind="stable")
+        # (target, end w, subset): head(S, w) + c(w, t), subsets in demand order
+        grid = np.add(m[np.ix_(ends, t_idx)].T[:, :, None], head[by_zd].T[None], order="C")
         cost = grid.min(axis=1)
         wstar = ends[grid.argmin(axis=1)].astype(np.int32)
         tied = (grid == cost[:, None, :]).sum(axis=1) > 1
-        for i, col in zip(*np.nonzero(tied)):
-            lm = int(local[i])
-            wstar[i, col] = min(
-                ends[np.flatnonzero(grid[i, :, col] == cost[i, col])],
+        for t, j in zip(*np.nonzero(tied)):
+            lm = int(local[by_zd[j]])
+            wstar[t, j] = min(
+                ends[np.flatnonzero(grid[t, :, j] == cost[t, j])],
                 key=lambda w: self._head_path(u, lm, int(w)),
             )
-        av_np = np.tile(t_ids, n_sub)
-        azd_np = np.repeat((inst.demand[u] + demand[local]).astype(np.int32), T)
-        # keep arc rows sorted by (target, demand) so per-call group
-        # minima are a single reduceat over contiguous slices
-        perm = np.lexsort((azd_np, av_np))
-        av_np = av_np[perm]
-        azd_np = azd_np[perm]
-        self._arc_v[u] = av_np
-        self._arc_zd[u] = azd_np
-        self._arc_subset[u] = np.repeat(
-            np.arange(n_sub, dtype=np.int32), T
-        )[perm]
-        self._arc_cost[u] = cost.ravel()[perm]
-        self._arc_wstar[u] = wstar.ravel()[perm]
-        key = av_np.astype(np.int64) * (inst.capacity + 1) + azd_np
-        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        self._grp_starts[u] = starts
-        self._grp_v[u] = av_np[starts]
-        self._grp_zd[u] = azd_np[starts]
-        vstarts = np.flatnonzero(np.r_[True, av_np[1:] != av_np[:-1]])
-        vbounds = np.r_[vstarts, len(av_np)]
-        self._rows_bounds[u] = {
-            int(av_np[vstarts[i]]): (int(vbounds[i]), int(vbounds[i + 1]))
-            for i in range(len(vstarts))
-        }
         local = local.astype(np.uint32)
-        self.subsets[u] = [self.to_global(u, lm) for lm in local.tolist()]
-        self._arc_local[u] = np.repeat(local, T)[perm]
+        self._sub_id[u] = by_zd.astype(np.int32)
+        self._sub_zd[u] = (inst.demand[u] + demand[local[by_zd]]).astype(np.int32)
+        self._sub_local[u] = local[by_zd]
+        self._targets[u] = np.array([_SINK] + targets, dtype=np.int32)
+        self._arc_cost[u] = cost
+        self._arc_wstar[u] = wstar
         j = np.arange(max(1, k), dtype=np.uint32)
         self._subset_indicator[u] = ((local[:, None] >> j) & 1).astype(float)
 
@@ -322,48 +307,55 @@ class ComponentPathTable:
     def _target_key(self, v: int) -> int:
         return _SINK if v == END_DEPOT else v
 
-    def row_mask(self, u: int, row: int) -> int:
-        return self.subsets[u][int(self._arc_subset[u][row])]
+    def subset_masks(self, u: int) -> list[int]:
+        """Global masks of u's subsets, by subset id."""
+        local = np.empty_like(self._sub_local[u])
+        local[self._sub_id[u]] = self._sub_local[u]
+        return [self.to_global(u, lm) for lm in local.tolist()]
 
-    def _row_index(self, u: int) -> dict[tuple[int, int], int]:
-        got = self._arc_row.get(u)
-        if got is None:
-            got = {
-                (int(v), self.row_mask(u, row)): row
-                for row, v in enumerate(self._arc_v[u])
-            }
-            self._arc_row[u] = got
-        return got
+    def _target_pos(self, u: int, v: int) -> int:
+        """Grid row of target v (a customer or END_DEPOT) in u's arcs, -1 if none."""
+        key = self._target_key(v)
+        targets = self._targets[u]
+        t = int(np.searchsorted(targets, key))
+        return t if t < len(targets) and targets[t] == key else -1
+
+    def _row(self, u: int, v: int, subset) -> int:
+        """Table row of the arc from u over `subset` to v; KeyError if none."""
+        mask = subset if isinstance(subset, int) else mask_of(subset)
+        i = self._subset_id(u, mask)
+        t = self._target_pos(u, v)
+        if i < 0 or t < 0:
+            raise KeyError((u, v, mask))
+        ids = self._sub_id[u]
+        return t * len(ids) + int(np.flatnonzero(ids == i)[0])
 
     def has_arc(self, u: int, v: int, subset) -> bool:
         mask = subset if isinstance(subset, int) else mask_of(subset)
-        return (self._target_key(v), mask) in self._row_index(u)
+        return self._subset_id(u, mask) >= 0 and self._target_pos(u, v) >= 0
 
     def arc_cost(self, u: int, v: int, subset) -> float:
-        mask = subset if isinstance(subset, int) else mask_of(subset)
-        return float(self._arc_cost[u][self._row_index(u)[(self._target_key(v), mask)]])
+        return self.arc_from_row(u, self._row(u, v, subset)).cost
 
     def arc_path(self, u: int, v: int, subset) -> tuple[int, ...]:
-        mask = subset if isinstance(subset, int) else mask_of(subset)
-        row = self._row_index(u)[(self._target_key(v), mask)]
-        w = int(self._arc_wstar[u][row])
-        return self.start_path(u, mask, w) + (v,)
+        return self.arc_from_row(u, self._row(u, v, subset)).path
 
     def arc_from_row(self, u: int, row: int) -> LaArc:
-        v = int(self._arc_v[u][row])
+        t, j = divmod(row, len(self._sub_id[u]))
+        v = int(self._targets[u][t])
         end = END_DEPOT if v == _SINK else v
-        w = int(self._arc_wstar[u][row])
-        path = self._head_path(u, int(self._arc_local[u][row]), w) + (end,)
+        w = int(self._arc_wstar[u][t, j])
+        path = self._head_path(u, int(self._sub_local[u][j]), w) + (end,)
         return LaArc(
             start=u,
             end=end,
             intermediates=path[1:-1],
-            demand=int(self._arc_zd[u][row]),
-            cost=float(self._arc_cost[u][row]),
+            demand=int(self._sub_zd[u][j]),
+            cost=float(self._arc_cost[u][t, j]),
         )
 
     def arc_count(self) -> int:
-        return sum(len(v) for v in self._arc_v.values())
+        return sum(grid.size for grid in self._arc_cost.values())
 
 
 def compute_component_paths(inst: Instance, sets: NeighborSets,
@@ -557,14 +549,13 @@ class ArcIndex:
 
     def _flatten(self) -> None:
         """The fitting arc rows of every owner in one dual-independent block,
-        owner by owner.
+        owner by owner, then target by target.
 
-        A row toward customer v fits when zd + demand(v) <= capacity; every
-        sink row fits.  A row that does not fit lands below v's demand, so
-        no route traverses it, and it is left out.  Fit depends on (target,
-        demand) only, so it is decided per group and a group is kept or
-        dropped whole; within one (owner, target) the fitting rows are a
-        zd-sorted prefix.  Subset ids are made global by offsetting each
+        A row toward customer v fits when zd + demand(v) <= capacity, a sink
+        row always; any other row lands below v's demand and is left out.
+        Fit depends on demand only, so a group (a run of equal demand in a
+        grid row) is kept or dropped whole, and the kept rows of a grid row
+        are a prefix of it.  Subset ids are made global by offsetting each
         owner's by the subsets of the owners before it; group starts are
         positions in the block.
         """
@@ -574,34 +565,47 @@ class ArcIndex:
         def cat(arrays):
             return np.concatenate([arrays[u] for u in owners])
 
-        groups = [len(table._grp_starts[u]) for u in owners]
-        row_off = np.cumsum([0] + [len(table._arc_cost[u]) for u in owners]).tolist()
-        starts = np.concatenate([table._grp_starts[u] + off for u, off in zip(owners, row_off)])
-        sizes = np.diff(starts, append=row_off[-1])  # rows per group
-        grp_v, grp_zd = cat(table._grp_v), cat(table._grp_zd)
-        need = np.array([0] + [self.inst.demand[v] for v in owners])
-        gfit = grp_zd + need[grp_v] <= self.d0
-        self._fit = np.repeat(gfit, sizes)
-        kept = sizes[gfit]
-        # fitting rows and kept groups before each owner's
-        grp_bounds = np.cumsum([0] + groups)
-        fit_off = np.concatenate(([0], np.cumsum(sizes * gfit)))[grp_bounds]
-        grp_off = np.concatenate(([0], np.cumsum(gfit)))[grp_bounds]
-        sub_off = np.cumsum([0] + [len(table.subsets[u]) for u in owners])
-        self._flat_cost = cat(table._arc_cost)[self._fit]
-        self._flat_subset = (cat(table._arc_subset)[self._fit]
-                             + np.repeat(sub_off[:-1], np.diff(fit_off)))
-        self._flat_starts = np.cumsum(kept) - kept
-        self._flat_grp_zd = grp_zd[gfit]
+        n_sub = np.array([len(table._sub_id[u]) for u in owners])
+        n_t = np.array([len(table._targets[u]) for u in owners])
+        sub_off = np.cumsum(n_sub) - n_sub
+        grid_off = np.cumsum(n_t * n_sub) - n_t * n_sub
+        sub_zd = cat(table._sub_zd)
+        new = np.r_[True, sub_zd[1:] != sub_zd[:-1]]
+        new[sub_off] = True
+        first = np.flatnonzero(new)  # first subset of each group of each owner
+        grp_off = np.searchsorted(first, sub_off)
+        n_grp = np.diff(grp_off, append=len(first))
+        # one cell per (owner, target, group), in block order
+        cells = n_t * n_grp
+        o = np.repeat(np.arange(len(owners)), cells)
+        t, g = np.divmod(np.arange(cells.sum()) - np.repeat(np.cumsum(cells) - cells, cells),
+                         n_grp[o])
+        grp = grp_off[o] + g
+        tgt = cat(table._targets)[(np.cumsum(n_t) - n_t)[o] + t]
+        self._need = np.array([0] + [self.inst.demand[v] for v in owners])
+        keep = np.flatnonzero(sub_zd[first[grp]] + self._need[tgt] <= self.d0)
+        o, t, grp, tgt = o[keep], t[keep], grp[keep], tgt[keep]
+        sizes = np.diff(first, append=len(sub_zd))[grp]
+        self._flat_starts = np.cumsum(sizes) - sizes
+        # each row's subset in the concatenated subsets and cell in the
+        # concatenated grids: its position in the block plus its group's shift
+        at = np.arange(self._flat_starts[-1] + sizes[-1])
+        shift = first[grp] - self._flat_starts
+        sub = at + np.repeat(shift, sizes)
+        cell = at + np.repeat(shift + grid_off[o] + t * n_sub[o] - sub_off[o], sizes)
+        self._flat_cost = np.concatenate([table._arc_cost[u].ravel() for u in owners])[cell]
+        self._flat_subset = (cat(table._sub_id) + np.repeat(sub_off, n_sub))[sub]
+        self._flat_grp_zd = sub_zd[first[grp]]
         # (owner, target, demand) of every group, to scatter group minima
-        self._grp_at = (np.repeat(np.array(owners, dtype=np.intp), groups)[gfit],
-                        grp_v[gfit], self._flat_grp_zd)
+        self._grp_at = (np.array(owners, dtype=np.intp)[o], tgt, self._flat_grp_zd)
         self._flat_cbar = np.empty_like(self._flat_cost)
-        fo, go = fit_off.tolist(), grp_off.tolist()
+        # where each owner's fitting rows and kept groups start
+        go = np.searchsorted(o, np.arange(len(owners) + 1))
+        fo = np.r_[self._flat_starts, len(at)][go].tolist()
+        go = go.tolist()
         # _cbar[u]: owner u's fitting rows of the reduced-cost block, as a view
         self._cbar = [None] + [self._flat_cbar[a:b] for a, b in zip(fo, fo[1:])]
-        # where each owner's rows, fitting rows and kept groups start
-        self._spans = [None] + list(zip(row_off, fo, go, go[1:]))
+        self._spans = [None] + list(zip(fo, go, go[1:]))
         self._owner_rows: list[_OwnerRows | None] = [None] * (self.inst.n + 1)
 
     def _rows(self, u: int) -> _OwnerRows:
@@ -609,18 +613,19 @@ class ArcIndex:
         got = self._owner_rows[u]
         if got is None:
             table = self.table
-            r0, f0, g0, g1 = self._spans[u]
-            fit = self._fit[r0:r0 + len(table._arc_cost[u])]
-            starts = self._flat_starts[g0:g1] - f0
-            gv, gz = self._grp_at[1][g0:g1], self._flat_grp_zd[g0:g1]
-            zd = table._arc_zd[u][fit]
-            first = np.flatnonzero(np.r_[True, gv[1:] != gv[:-1]])
-            ends = np.r_[starts[first[1:]], len(zd)].tolist()
-            table_rows = table._rows_bounds[u]
-            targets = {v: (a, b, table_rows[v][0] - a)
-                       for v, a, b in zip(gv[first].tolist(), starts[first].tolist(), ends)}
-            got = self._owner_rows[u] = _OwnerRows(table._arc_local[u][fit], zd, starts, gv, gz,
-                                                   targets)
+            f0, g0, g1 = self._spans[u]
+            zd, targets = table._sub_zd[u], table._targets[u]
+            fit = np.searchsorted(zd, self.d0 - self._need[targets], "right")  # per target
+            keep = np.arange(len(zd)) < fit[:, None]
+            at = np.cumsum(fit) - fit
+            got = self._owner_rows[u] = _OwnerRows(
+                np.broadcast_to(table._sub_local[u], keep.shape)[keep],
+                np.broadcast_to(zd, keep.shape)[keep],
+                self._flat_starts[g0:g1] - f0, self._grp_at[1][g0:g1], self._flat_grp_zd[g0:g1],
+                {v: (a, a + f, t * len(zd) - a)
+                 for t, (v, a, f) in enumerate(zip(targets.tolist(), at.tolist(), fit.tolist()))
+                 if f},
+            )
         return got
 
     def bind_duals(self, duals) -> None:
@@ -668,10 +673,6 @@ class ArcIndex:
         self._groups.clear()
         self._cores.clear()
         self._reset_labels()
-
-    @property
-    def duals(self):
-        return self._duals
 
     def offset_rate(self) -> float:
         """Per-demand-unit weight offset making every graph edge nonnegative:
@@ -813,28 +814,28 @@ class ArcIndex:
         rows.sort(key=itemgetter(0))  # so that merging a bucket's groups is cheap
         return _Group(m2s, zds, costs, caps, rows)
 
-    def invalidate(self, grown, added: int | None = None) -> None:
+    def invalidate(self, grown, added: int) -> None:
         """Drop cached entries whose start or end customer had its ng set grown.
 
-        When `added` names the customer that joined every grown ng set, caches
-        whose content provably cannot change are kept: remembering a customer
-        that can never appear among an arc's visited customers leaves every
+        `added` is the customer that joined every grown ng set.  Caches whose
+        content provably cannot change are kept: remembering a customer that
+        can never appear among an arc's visited customers leaves every
         carried memory as it was.
         """
         grown = set(grown)
         if not grown:
             return
-        abit = bit(added) if added is not None else None
+        abit = bit(added)
         for gk in [k for k in self._groups if k[1] in grown]:
             u = gk[0]
-            if abit is None or abit & (self.sets.la_mask(u) | bit(u)):
+            if abit & (self.sets.la_mask(u) | bit(u)):
                 del self._groups[gk]
         for (u, m1) in [k for k in self._buckets if k[0] in grown]:
             del self._buckets[(u, m1)]
         ng = [(v, self.sets.ng_mask(v)) for v in grown]
         for (u, m1), bucket in self._buckets.items():
             reach = self.sets.la_mask(u) | bit(u) | m1
-            if abit is not None and not abit & reach:
+            if not abit & reach:
                 continue  # the new memory bit never occurs on arcs from u
             for v, ng_v in ng:
                 if not ng_v & reach:

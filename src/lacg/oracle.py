@@ -194,7 +194,7 @@ def lp_over_routes(routes, inst: Instance, costs: CostMatrix | None = None,
 
 def arcs_for(table: ComponentPathTable, u: int, v: int, m1, m2, d: int) -> list[LaArc]:
     """Arcs of the table filed under the pricing key (u, v, M1, M2, d), by a
-    scan of u's rows toward v.
+    scan of the grid row of u's arcs toward v.
 
     M2 must equal ng(v) intersected with (M1 | intermediates | u); sink
     keys (v == END_DEPOT) match any arc demand up to d.
@@ -206,17 +206,20 @@ def arcs_for(table: ComponentPathTable, u: int, v: int, m1, m2, d: int) -> list[
         return []
     ng_v = 0 if sink else table.sets.ng_mask(v)
     out = []
-    bounds = table._rows_bounds[u].get(table._target_key(v))
-    for row in (range(*bounds) if bounds is not None else ()):
-        zd = int(table._arc_zd[u][row])
+    t = table._target_pos(u, v)
+    if t < 0:
+        return out
+    n_sub = len(table._sub_id[u])
+    for j, (zd, local) in enumerate(zip(table._sub_zd[u].tolist(),
+                                        table._sub_local[u].tolist())):
         if (zd > d) if sink else (zd != d):
             continue
-        mask = table.row_mask(u, row)
+        mask = table.to_global(u, local)
         if mask & m1:
             continue
         if ng_v & (m1 | mask | bit(u)) != m2:
             continue
-        out.append(table.arc_from_row(u, row))
+        out.append(table.arc_from_row(u, t * n_sub + j))
     return out
 
 

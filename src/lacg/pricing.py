@@ -72,19 +72,14 @@ class PricingResult:
     diagnostics: PricingDiagnostics
 
 
-@dataclass
-class HeuristicTable:
-    """h[u, d]: exact cost-to-sink from (u, d) when every ng set is empty.
-
-    Admissible for every node (u, M1, d): growing memory only removes paths.
-    """
-
-    h: np.ndarray  # (n+1, d0+1); +inf where d < demand(u)
-
-
 def compute_heuristic(inst: Instance, sets: NeighborSets, table: ComponentPathTable,
-                      duals: DualSolution, index: ArcIndex | None = None) -> HeuristicTable:
-    """Cost-to-sink table on the empty-memory graph, one pass per pricing call."""
+                      duals: DualSolution, index: ArcIndex | None = None) -> np.ndarray:
+    """Cost-to-sink table on the empty-memory graph, one pass per pricing call.
+
+    h[u, d], shape (n+1, d0+1), is the exact cost-to-sink from (u, d) when
+    every ng set is empty, +inf where d < demand(u).  It is admissible for
+    every node (u, M1, d): growing memory only removes paths.
+    """
     index = index or ArcIndex(table, sets, inst.capacity)
     index.bind_duals(duals)
     n, d0 = inst.n, inst.capacity
@@ -97,14 +92,13 @@ def compute_heuristic(inst: Instance, sets: NeighborSets, table: ComponentPathTa
         # best first arc (u -> v with demand zd) plus h[v, d - zd], per owner u
         m = (dense[:, :, 1:d + 1] + h[1:, d - 1::-1][None]).min(axis=(1, 2))
         h[1:, d] = np.where(short[:, d], np.inf, np.where(m < sink[:, d], m, sink[:, d]))
-    return HeuristicTable(h=h)
+    return h
 
 
 def solve_la_pricing(inst: Instance, sets: NeighborSets, table: ComponentPathTable,
                      duals: DualSolution, mode: str = "dijkstra", *,
                      index: ArcIndex | None = None,
-                     heuristic: HeuristicTable | None = None,
-                     use_dominance: bool = True,
+                     heuristic: np.ndarray | None = None,
                      prune_bound: float = np.inf) -> PricingResult:
     """Minimum-reduced-cost route of the relaxation under the current ng sets.
 
@@ -117,7 +111,7 @@ def solve_la_pricing(inst: Instance, sets: NeighborSets, table: ComponentPathTab
     index = index or ArcIndex(table, sets, inst.capacity)
     index.bind_duals(duals)
     if mode == "dijkstra":
-        g, parent, diag = _best_first(inst, index, heuristic, use_dominance, prune_bound)
+        g, parent, diag = _best_first(inst, index, heuristic, prune_bound)
     else:
         g, parent, diag = _relax_all(inst, index)
     if _SINK_KEY not in parent:
@@ -127,15 +121,14 @@ def solve_la_pricing(inst: Instance, sets: NeighborSets, table: ComponentPathTab
     return PricingResult(route=route, reduced_cost=g, diagnostics=diag)
 
 
-def _best_first(inst, index, heuristic, use_dominance, prune_bound=np.inf):
+def _best_first(inst, index, heuristic, prune_bound=np.inf):
     n, d0 = inst.n, inst.capacity
     stride = d0 + 1
     offr = index.offset_rate()
     use_h = heuristic is not None
     if use_h:
-        H = heuristic.h
-        pot = H.ravel()
-        index.use_heuristic(H)
+        pot = heuristic.ravel()
+        index.use_heuristic(heuristic)
     else:
         pot = np.tile(-offr * np.arange(stride), n + 1)
         dem = np.array([0] + [inst.demand[u] for u in inst.customers])
@@ -173,12 +166,11 @@ def _best_first(inst, index, heuristic, use_dominance, prune_bound=np.inf):
         if at in closed or g > flat.item(at) + 1e-15:
             continue
         key = (u, m1, d)
-        if use_dominance:
-            dom = expanded.get(lab)
-            if dom and any(d1 > d and g1 < g for d1, g1 in dom):
-                closed.add(at)
-                continue
-            expanded.setdefault(lab, []).append((d, g))
+        dom = expanded.get(lab)
+        if dom and any(d1 > d and g1 < g for d1, g1 in dom):
+            closed.add(at)
+            continue
+        expanded.setdefault(lab, []).append((d, g))
         closed.add(at)
         nodes += 1
         bucket = index.successors(u, m1)
@@ -200,10 +192,11 @@ def _best_first(inst, index, heuristic, use_dominance, prune_bound=np.inf):
         # dense targets (empty ng sets, so M2 = 0)
         if d >= 2:
             if use_h:
-                # rows for capacities below a customer's demand are +inf in H,
-                # so infeasible candidates drop out of the comparison for free
+                # rows for capacities below a customer's demand are +inf in the
+                # heuristic, so infeasible candidates drop out of the comparison
+                # for free
                 block = bucket.blocks.get(d)
-                T, A = block if block is not None else bucket.dense_block(d, H)
+                T, A = block if block is not None else bucket.dense_block(d, heuristic)
             else:
                 A = bucket.dense[1:, 1:d + 1]
                 d2row = (d - zd_cols[1:d + 1])[None, :]

@@ -94,7 +94,7 @@ def _twin_table():
 def test_arc_paths_elementary_and_consistent():
     for inst, cm, sets, table in (_table(12, 10, 8, 4), _twin_table()):
         for u in inst.customers:
-            for mask in table.subsets[u]:
+            for mask in table.subset_masks(u):
                 members = [w for w in sets.la(u) if mask & bit(w)]
                 for v in list(inst.customers) + [END_DEPOT]:
                     if v == u or (v != END_DEPOT and v in sets.la(u)):
@@ -125,9 +125,14 @@ def test_arc_rows_pinned(seed, n, cap, mode, k, digest):
     inst, cm, sets, table = _table(seed, n, cap, k, mode)
     h = hashlib.sha256()
     for u in inst.customers:
-        for rows in (table._arc_v, table._arc_zd, table._arc_subset, table._arc_cost,
-                     table._arc_wstar, table._arc_local):
-            h.update(rows[u].tobytes())
+        # per table row t * subsets + j: target, demand, subset id, cost,
+        # last customer and subset bits of grid cell (t, j)
+        T = len(table._targets[u])
+        for rows in (np.repeat(table._targets[u], len(table._sub_id[u])),
+                     np.tile(table._sub_zd[u], T), np.tile(table._sub_id[u], T),
+                     table._arc_cost[u].ravel(), table._arc_wstar[u].ravel(),
+                     np.tile(table._sub_local[u], T)):
+            h.update(rows.tobytes())
     assert h.hexdigest() == digest
 
 
@@ -165,7 +170,7 @@ def test_table_matches_enumeration(drawn):
         feasible = [combo for size in range(len(nbrs) + 1)
                     for combo in itertools.combinations(nbrs, size)
                     if inst.demand[u] + sum(inst.demand[w] for w in combo) <= inst.capacity]
-        assert table.subsets[u] == [mask_of(combo) for combo in feasible]
+        assert table.subset_masks(u) == [mask_of(combo) for combo in feasible]
         at = {w: j for j, w in enumerate(nbrs)}
         for i, combo in enumerate(feasible):
             mask = mask_of(combo)
@@ -191,7 +196,7 @@ def test_inner_costs_u_independent():
     seen = {}
     for u in inst.customers:
         at = {w: j for j, w in enumerate(sets.la(u))}
-        for i, mask in enumerate(table.subsets[u]):
+        for i, mask in enumerate(table.subset_masks(u)):
             if mask.bit_count() < 2:
                 continue
             members = [w for w in inst.customers if mask & bit(w)]
@@ -232,12 +237,12 @@ def test_keyed_membership_matches_definitional_filter():
 
     def definitional(u, v, m1, m2, d):
         out = []
-        for mask in table.subsets[u]:
+        for mask in table.subset_masks(u):
             if v != END_DEPOT and (v == u or v in sets.la(u)):
                 continue
             if not table.has_arc(u, v, mask):
                 continue
-            arc = table.arc_from_row(u, table._row_index(u)[(table._target_key(v), mask)])
+            arc = table.arc_from_row(u, table._row(u, v, mask))
             visited = set(arc.intermediates) | {u}
             m1_ids = set(ns for ns in inst.customers if m1 & bit(ns))
             m2_ids = set(ns for ns in inst.customers if m2 & bit(ns))
@@ -272,7 +277,7 @@ def test_keyed_membership_matches_definitional_filter():
                     continue
                 for d in range(1, inst.capacity + 1):
                     ub = bit(u)
-                    for mask in table.subsets[u]:
+                    for mask in table.subset_masks(u):
                         m2 = sets.ng_mask(v) & (m1 | mask | ub) if v != END_DEPOT else 0
                         got = {a.path for a in arcs_for(table, u, v, m1, m2, d)}
                         want = definitional(u, v, m1, m2, d)
@@ -328,7 +333,7 @@ def test_invalidate_identity_and_equivalence():
         index.successors(u, 0)
     before = {key: b for key, b in index._buckets.items()}
     augment_ng(sets, 3, 5)
-    index.invalidate({3})
+    index.invalidate({3}, 5)
     # untouched keys keep their cached bucket objects
     for key, b in index._buckets.items():
         if key[0] != 3:
@@ -348,7 +353,7 @@ def test_invalidate_identity_and_equivalence():
                 sorted(zip(b.dirty[v].m2s, b.dirty[v].zds, b.dirty[v].costs))
     # empty invalidation is a no-op
     snapshot = dict(index._buckets)
-    index.invalidate(set())
+    index.invalidate(set(), 5)
     assert index._buckets == snapshot
 
 
@@ -357,7 +362,7 @@ def test_local_subset_bits():
     inst, cm, sets, table = _table(3, 70, 4, 4)
     for u in inst.customers:
         nbrs = sets.la(u)
-        subsets = table.subsets[u]
+        subsets = table.subset_masks(u)
         local = [table.to_local(u, m) for m in subsets]
         assert [table.to_global(u, m) for m in local] == subsets
         for m, lm in zip(subsets, local):
@@ -365,7 +370,12 @@ def test_local_subset_bits():
         # local masks order subsets as their global masks do
         assert sorted(range(len(subsets)), key=local.__getitem__) == \
             sorted(range(len(subsets)), key=subsets.__getitem__)
-        assert table._arc_local[u].tolist() == [local[s] for s in table._arc_subset[u].tolist()]
+        ids = table._sub_id[u].tolist()
+        assert table._sub_local[u].tolist() == [local[s] for s in ids]
+        # the grid's subsets run by demand, ties by subset id
+        zd = table._sub_zd[u].tolist()
+        assert zd == [inst.demand[u] + table.mask_demand(subsets[s]) for s in ids]
+        assert sorted(zip(zd, ids)) == list(zip(zd, ids))
         ind = table._subset_indicator[u]
         assert ind.tolist() == [[float(bool(lm >> j & 1)) for j in range(max(1, len(nbrs)))]
                                 for lm in local]
@@ -392,31 +402,31 @@ def test_flat_bind_duals_matches_per_owner_formula():
     # an (owner, target, demand) cell whose arcs land below the target's
     # demand is never priced
     dropped = 0
+    worst = np.inf
     for u in inst.customers:
-        for v, zd in zip(table._grp_v[u].tolist(), table._grp_zd[u].tolist()):
+        # per table row t * subsets + j: target and demand of grid cell (t, j)
+        n_sub = len(table._sub_id[u])
+        v_row = np.repeat(table._targets[u], n_sub)
+        zd_row = np.tile(table._sub_zd[u], len(table._targets[u]))
+        fit = zd_row + need[v_row] <= inst.capacity
+        pisum = table._subset_indicator[u] @ pi[list(sets.la(u))]
+        cbar = (table._arc_cost[u] - pisum[table._sub_id[u]] - pi[u]).ravel()
+        assert index._cbar[u].tobytes() == cbar[fit].tobytes()
+        dense = np.full((inst.n + 1, inst.capacity + 1), np.inf)
+        sink = np.full(inst.capacity + 1, np.inf)
+        for v, zd in sorted(set(zip(v_row.tolist(), zd_row.tolist()))):
             if zd + need[v] > inst.capacity:
                 assert index._base_dense[u][v, zd] == np.inf
                 dropped += 1
-    assert dropped > 0
-    worst = np.inf
-    for u in inst.customers:
-        fit = table._arc_zd[u] + need[table._arc_v[u]] <= inst.capacity
-        pisum = table._subset_indicator[u] @ pi[list(sets.la(u))]
-        cbar = table._arc_cost[u] - pisum[table._arc_subset[u]] - pi[u]
-        assert index._cbar[u].tobytes() == cbar[fit].tobytes()
-        bounds = np.r_[table._grp_starts[u], len(cbar)]
-        dense = np.full((inst.n + 1, inst.capacity + 1), np.inf)
-        sink = np.full(inst.capacity + 1, np.inf)
-        for g, (v, zd) in enumerate(zip(table._grp_v[u].tolist(), table._grp_zd[u].tolist())):
-            if zd + need[v] > inst.capacity:
                 continue
-            w = cbar[bounds[g]:bounds[g + 1]].min()
+            w = cbar[(v_row == v) & (zd_row == zd)].min()
             if v == 0:
                 sink[zd] = w
             else:
                 dense[v, zd] = w
         assert index._base_dense[u].tobytes() == dense.tobytes()
         assert index._base_sink[u].tobytes() == np.minimum.accumulate(sink).tobytes()
-        worst = min(worst, float(np.min(cbar[fit] / table._arc_zd[u][fit])))
+        worst = min(worst, float(np.min(cbar[fit] / zd_row[fit])))
+    assert dropped > 0
     assert worst < 0
     assert index.offset_rate() == max(0.0, -worst)

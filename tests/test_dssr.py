@@ -187,7 +187,7 @@ def test_augmentation_forbids_returned_route():
                 augment_ng(sets, w, choice.customer)
             # the augmented sets now reject the same route
             assert not is_la_route(res.route, sets)
-            index.invalidate(set(choice.augment))
+            index.invalidate(set(choice.augment), choice.customer)
 
 
 def test_full_vs_targeted_invalidation():
@@ -209,7 +209,7 @@ def test_full_vs_targeted_invalidation():
         choice = select_cycle(res.route, sets, inst)
         for w in choice.augment:
             augment_ng(sets, w, choice.customer)
-        index.invalidate(set(choice.augment))
+        index.invalidate(set(choice.augment), choice.customer)
 
 
 @st.composite

@@ -65,13 +65,11 @@ def test_offset_rate_matches_scan_oracle():
         got = index.offset_rate()
         worst = math.inf
         for u in inst.customers:
-            for mask in table.subsets[u]:
+            for mask in table.subset_masks(u):
                 for v in list(inst.customers) + [END_DEPOT]:
                     if v == u or (v != END_DEPOT and v in sets.la(u)):
                         continue
-                    arc = table.arc_from_row(
-                        u, table._row_index(u)[(table._target_key(v), mask)]
-                    )
+                    arc = table.arc_from_row(u, table._row(u, v, mask))
                     if v != END_DEPOT and arc.demand + inst.demand[v] > inst.capacity:
                         skipped += 1
                         continue
@@ -178,11 +176,11 @@ def test_heuristic_exact_on_empty_graph():
     # monotone: more capacity can only help
     for u in inst.customers:
         for d1 in range(inst.demand[u], inst.capacity):
-            assert h.h[u, d1 + 1] <= h.h[u, d1] + 1e-12
+            assert h[u, d1 + 1] <= h[u, d1] + 1e-12
     # h at full capacity completes a source edge into the optimal route value
     res = solve_la_pricing(inst, sets, table, duals)
     want = min(
-        cm.cost(-1, u) + duals.pi0 + h.h[u, inst.capacity]
+        cm.cost(-1, u) + duals.pi0 + h[u, inst.capacity]
         for u in inst.customers
     )
     assert res.reduced_cost == pytest.approx(want, abs=1e-9)
@@ -197,7 +195,7 @@ def test_heuristic_single_customer_capacity():
         d = inst.demand[u]
         # with exactly the customer's own demand left, only the direct leg fits
         direct = cm.cost(u, -2) - duals.value(u)
-        assert h.h[u, d] == pytest.approx(direct, abs=1e-9)
+        assert h[u, d] == pytest.approx(direct, abs=1e-9)
 
 
 def test_astar_expands_no_more_than_dijkstra():
@@ -216,17 +214,24 @@ def test_astar_expands_no_more_than_dijkstra():
 
 
 def test_dominance_toggle_same_objective():
+    # best-first search skips nodes dominated on (capacity, cost) within one
+    # (u, M1); bellman_ford relaxes every node, so it checks that skipping
+    # them never loses the optimum, with and without the heuristic
     rnd = random.Random(13)
-    inst, cm, sets, table = _setup(27, 6, 5, 2)
-    for u in inst.customers:
-        for v in inst.customers:
-            if u != v and rnd.random() < 0.3:
-                augment_ng(sets, u, v)
-    for _ in range(10):
-        duals = _rand_duals(inst, cm, rnd)
-        a = solve_la_pricing(inst, sets, table, duals, use_dominance=True)
-        b = solve_la_pricing(inst, sets, table, duals, use_dominance=False)
-        assert a.reduced_cost == pytest.approx(b.reduced_cost, abs=1e-12)
+    for trial in range(4):
+        mode, cap = ("unit", 5) if trial % 2 == 0 else ("uniform_1_10", 12)
+        inst, cm, sets, table = _setup(27 + trial, 6, cap, 2, mode)
+        for u in inst.customers:
+            for v in inst.customers:
+                if u != v and rnd.random() < 0.3:
+                    augment_ng(sets, u, v)
+        for _ in range(5):
+            duals = _rand_duals(inst, cm, rnd)
+            h = compute_heuristic(inst, sets, table, duals)
+            want = solve_la_pricing(inst, sets, table, duals, "bellman_ford").reduced_cost
+            for heuristic in (None, h):
+                got = solve_la_pricing(inst, sets, table, duals, heuristic=heuristic)
+                assert got.reduced_cost == pytest.approx(want, abs=1e-9)
 
 
 def test_degenerate_graph_matches_direct_labeling():
@@ -290,5 +295,5 @@ def test_heuristic_matches_reference_loop(seed, n, cap, mode, k):
     rnd = random.Random(seed)
     first = solve_rmp(initial_columns(inst, cm), inst.n, inst.fleet).duals
     for duals in [first] + [_rand_duals(inst, cm, rnd) for _ in range(3)]:
-        h = compute_heuristic(inst, sets, table, duals, index=index).h
+        h = compute_heuristic(inst, sets, table, duals, index=index)
         assert h.tobytes() == _heuristic_loop(inst, index).tobytes()

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lacg.instances import Instance, generate_instance, cost_matrix
 from lacg.neighbors import build_la_neighbors, augment_ng
@@ -124,6 +125,34 @@ def test_predicates_match_oracle_classifiers():
             assert is_ng_route(r, sets) == oracle.classify_ng(r.seq, sets)
             assert is_la_route(r, sets) == oracle.classify_la(r.seq, sets)
             assert is_kq_route(r, 1) == oracle.classify_kq(r.seq, None, 1)
+
+
+@st.composite
+def _sequences(draw):
+    """Up to eight customers with random la and ng sets, and a customer
+    sequence that may repeat customers, adjacent ones included, and may
+    exceed the capacity."""
+    n = draw(st.integers(1, 8))
+    inst = generate_instance(draw(st.integers(0, 999)), n, n, "unit")
+    sets = build_la_neighbors(inst, draw(st.integers(0, n - 1)))
+    for w in inst.customers:
+        for u in draw(st.sets(st.integers(1, n))) - {w}:
+            augment_ng(sets, w, u)
+    seq = draw(st.lists(st.integers(1, n), min_size=1, max_size=12))
+    return inst, sets, seq
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_sequences())
+def test_predicates_match_oracle_on_any_sequence(drawn):
+    inst, sets, seq = drawn
+    r = make_route(seq, inst)
+    assert special_indices(r, sets) == tuple(oracle._special_positions(seq, sets))
+    assert is_elementary(r) == oracle.classify_elementary(seq)
+    assert is_ng_route(r, sets) == oracle.classify_ng(seq, sets)
+    assert is_la_route(r, sets) == oracle.classify_la(seq, sets)
+    for K in range(1, 6):
+        assert is_kq_route(r, K) == oracle.classify_kq(seq, None, K)
 
 
 def test_containment_elementary_la_ng():

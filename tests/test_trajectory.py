@@ -9,6 +9,7 @@ here rather than only in the minutes-long benchmark.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from lacg import driver
@@ -170,7 +171,7 @@ def test_cached_dense_blocks_match_buckets(la_k):
     # blocks are kept across DSSR iterations; invalidation must drop every
     # block whose bucket lost a finite dense row
     inst, sets, table, index, duals, res = _grown(la_k)
-    h = compute_heuristic(inst, sets, table, duals, index=index).h
+    h = compute_heuristic(inst, sets, table, duals, index=index)
     checked = 0
     for bucket in index._buckets.values():
         for d, (T, A) in bucket.blocks.items():
@@ -199,7 +200,12 @@ def test_index_holds_exactly_the_fitting_rows():
     need = [0] + [inst.demand[v] for v in inst.customers]
     total = kept = 0
     for u in inst.customers:
-        vs, zds = table._arc_v[u].tolist(), table._arc_zd[u].tolist()
+        # per table row t * subsets + j: target, demand and subset bits of
+        # grid cell (t, j)
+        n_sub, T = len(table._sub_id[u]), len(table._targets[u])
+        vs = np.repeat(table._targets[u], n_sub).tolist()
+        zds = np.tile(table._sub_zd[u], T).tolist()
+        local = np.tile(table._sub_local[u], T)
         want = [r for r, (v, zd) in enumerate(zip(vs, zds)) if zd + need[v] <= inst.capacity]
         own = index._rows(u)
         got = []
@@ -209,7 +215,7 @@ def test_index_holds_exactly_the_fitting_rows():
                 got.extend(range(a + shift, b + shift))
         assert got == want
         assert own.zd.tolist() == [zds[r] for r in want]
-        assert own.local.tolist() == table._arc_local[u][want].tolist()
+        assert own.local.tolist() == local[want].tolist()
         assert len(index._cbar[u]) == len(want)
         total += len(vs)
         kept += len(want)
@@ -223,7 +229,7 @@ def test_decode_rows_match_traversed_edges():
     # edge's demand, avoids the tail's memory and carries the head's memory
     inst, sets, table, index, duals, res = _grown(5)
     h = compute_heuristic(inst, sets, table, duals, index=index)
-    _, parent, _ = _best_first(inst, index, h, True)
+    _, parent, _ = _best_first(inst, index, h)
     grown = sinks = 0
     for head, tail in parent.items():
         if tail == _SOURCE_KEY:
