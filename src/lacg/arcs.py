@@ -568,40 +568,40 @@ class ArcIndex:
         n_sub = np.array([len(table._sub_id[u]) for u in owners])
         n_t = np.array([len(table._targets[u]) for u in owners])
         sub_off = np.cumsum(n_sub) - n_sub
-        grid_off = np.cumsum(n_t * n_sub) - n_t * n_sub
         sub_zd = cat(table._sub_zd)
-        new = np.r_[True, sub_zd[1:] != sub_zd[:-1]]
+        new = np.concatenate(([True], sub_zd[1:] != sub_zd[:-1]))
         new[sub_off] = True
         first = np.flatnonzero(new)  # first subset of each group of each owner
         grp_off = np.searchsorted(first, sub_off)
         n_grp = np.diff(grp_off, append=len(first))
-        # one cell per (owner, target, group), in block order
-        cells = n_t * n_grp
-        o = np.repeat(np.arange(len(owners)), cells)
-        t, g = np.divmod(np.arange(cells.sum()) - np.repeat(np.cumsum(cells) - cells, cells),
-                         n_grp[o])
-        grp = grp_off[o] + g
-        tgt = cat(table._targets)[(np.cumsum(n_t) - n_t)[o] + t]
+        grp_zd, grp_size = sub_zd[first], np.diff(first, append=len(sub_zd))
+        # one cell per (owner, target, group) in the grids' row order: every
+        # (owner, target) pair once per group of the owner
+        pair_o = np.repeat(np.arange(len(owners)), n_t)
+        reps = n_grp[pair_o]
+        grp = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps - grp_off[pair_o], reps)
+        tgt = np.repeat(cat(table._targets), reps)
         self._need = np.array([0] + [self.inst.demand[v] for v in owners])
-        keep = np.flatnonzero(sub_zd[first[grp]] + self._need[tgt] <= self.d0)
-        o, t, grp, tgt = o[keep], t[keep], grp[keep], tgt[keep]
-        sizes = np.diff(first, append=len(sub_zd))[grp]
+        fit = grp_zd[grp] + self._need[tgt] <= self.d0
+        self._flat_cost = np.concatenate([table._arc_cost[u].ravel() for u in owners])[
+            np.repeat(fit, grp_size[grp])]
+        keep = np.flatnonzero(fit)
+        grp, tgt = grp[keep], tgt[keep]
+        sizes = grp_size[grp]
         self._flat_starts = np.cumsum(sizes) - sizes
-        # each row's subset in the concatenated subsets and cell in the
-        # concatenated grids: its position in the block plus its group's shift
-        at = np.arange(self._flat_starts[-1] + sizes[-1])
-        shift = first[grp] - self._flat_starts
-        sub = at + np.repeat(shift, sizes)
-        cell = at + np.repeat(shift + grid_off[o] + t * n_sub[o] - sub_off[o], sizes)
-        self._flat_cost = np.concatenate([table._arc_cost[u].ravel() for u in owners])[cell]
+        # a row's subset in the concatenated subsets: its group's shift plus
+        # its position in the block
+        sub = np.repeat(first[grp] - self._flat_starts, sizes)
+        sub += np.arange(len(sub))
         self._flat_subset = (cat(table._sub_id) + np.repeat(sub_off, n_sub))[sub]
-        self._flat_grp_zd = sub_zd[first[grp]]
+        self._flat_grp_zd = grp_zd[grp]
         # (owner, target, demand) of every group, to scatter group minima
+        o = np.repeat(np.arange(len(owners)), n_grp)[grp]
         self._grp_at = (np.array(owners, dtype=np.intp)[o], tgt, self._flat_grp_zd)
         self._flat_cbar = np.empty_like(self._flat_cost)
         # where each owner's fitting rows and kept groups start
         go = np.searchsorted(o, np.arange(len(owners) + 1))
-        fo = np.r_[self._flat_starts, len(at)][go].tolist()
+        fo = np.append(self._flat_starts, len(sub))[go].tolist()
         go = go.tolist()
         # _cbar[u]: owner u's fitting rows of the reduced-cost block, as a view
         self._cbar = [None] + [self._flat_cbar[a:b] for a, b in zip(fo, fo[1:])]
