@@ -569,9 +569,9 @@ class ArcIndex:
         n_t = np.array([len(table._targets[u]) for u in owners])
         sub_off = np.cumsum(n_sub) - n_sub
         sub_zd = cat(table._sub_zd)
-        new = np.concatenate(([True], sub_zd[1:] != sub_zd[:-1]))
-        new[sub_off] = True
-        first = np.flatnonzero(new)  # first subset of each group of each owner
+        opens = np.concatenate(([True], sub_zd[1:] != sub_zd[:-1]))
+        opens[sub_off] = True
+        first = np.flatnonzero(opens)  # first subset of each group of each owner
         grp_off = np.searchsorted(first, sub_off)
         n_grp = np.diff(grp_off, append=len(first))
         grp_zd, grp_size = sub_zd[first], np.diff(first, append=len(sub_zd))
