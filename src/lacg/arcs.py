@@ -217,7 +217,8 @@ class ComponentPathTable:
         t_idx = np.array([cm.index(END_DEPOT)] + [cm.index(v) for v in targets], dtype=np.intp)
         ends = np.r_[la, u]
         by_zd = np.argsort(demand[local], kind="stable")
-        # (target, end w, subset): head(S, w) + c(w, t), subsets in demand order
+        # (target, end w, subset): head(S, w) + c(w, t), subsets in demand
+        # order; C order keeps the cost and wstar grids C-contiguous
         grid = np.add(m[np.ix_(ends, t_idx)].T[:, :, None], head[by_zd].T[None], order="C")
         cost = grid.min(axis=1)
         wstar = ends[grid.argmin(axis=1)].astype(np.int32)
@@ -304,9 +305,6 @@ class ComponentPathTable:
             raise KeyError(mask)
         return self._head_path(u, self.to_local(u, mask), w)
 
-    def _target_key(self, v: int) -> int:
-        return _SINK if v == END_DEPOT else v
-
     def subset_masks(self, u: int) -> list[int]:
         """Global masks of u's subsets, by subset id."""
         local = np.empty_like(self._sub_local[u])
@@ -315,7 +313,7 @@ class ComponentPathTable:
 
     def _target_pos(self, u: int, v: int) -> int:
         """Grid row of target v (a customer or END_DEPOT) in u's arcs, -1 if none."""
-        key = self._target_key(v)
+        key = _SINK if v == END_DEPOT else v
         targets = self._targets[u]
         t = int(np.searchsorted(targets, key))
         return t if t < len(targets) and targets[t] == key else -1
