@@ -42,8 +42,8 @@ visited-memory) successor buckets consumed by the search, and the lazily
 cached groups keyed by (u, v, M1, M2, demand).  Growing a customer's ng set
 invalidates exactly the cached entries that start or end at that customer.
 The index also interns the (customer, memory) labels that the search uses
-as distance rows, and each bucket caches, per remaining capacity, the
-window of grown-ng entries that fit it.
+as distance rows, and each bucket caches its grown-ng entries as one list
+sorted by the least remaining capacity they fit.
 """
 
 from __future__ import annotations
@@ -366,14 +366,6 @@ def compute_component_paths(inst: Instance, sets: NeighborSets,
 # ---------------------------------------------------------------------------
 
 
-# Windows with fewer grown-ng entries than this are searched by a scalar
-# loop over the bucket's tuples: a batched pass costs about twenty numpy
-# calls per node, more than a few entries cost in Python.  la0 windows
-# average ~7 entries per node and la10 windows ~70; batching every window
-# made la0 pricing ~25% slower on instance 105/30/20 (demands 1..10).
-BATCH_MIN = 16
-
-
 class _OwnerRows(NamedTuple):
     """One owner's fitting rows in ArcIndex, positions local to the owner.
 
@@ -400,7 +392,7 @@ class _Group:
     terms gives the flat (v, d2) and (label, d2) indices.
     """
 
-    __slots__ = ("m2s", "zds", "costs", "caps", "rows", "_columns")
+    __slots__ = ("m2s", "zds", "costs", "caps", "rows")
 
     def __init__(self, m2s, zds, costs, caps, rows):
         self.m2s = m2s        # carried-memory masks
@@ -408,15 +400,6 @@ class _Group:
         self.costs = costs    # group-minimum reduced costs
         self.caps = caps      # capacity ceiling of the reached node
         self.rows = rows
-        self._columns = None
-
-    def columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Non-empty `rows` as an int block (7, k) and a cost column (k,)."""
-        if self._columns is None:
-            fields = list(zip(*self.rows))
-            self._columns = (np.array(fields[:7], dtype=np.int64),
-                             np.array(fields[7], dtype=float))
-        return self._columns
 
 
 class _Bucket:
@@ -424,16 +407,14 @@ class _Bucket:
     targets with empty ng sets, per-(M2, demand) groups for the rest, and a
     prefix-minimum over sink arcs indexed by remaining capacity.
 
-    Two per-capacity caches serve the best-first search.  `blocks[d]` holds
-    the flattened dense block toward customers from nodes (u, M1, d) and the
-    same block plus the heuristic at each landing node; it is valid for the
-    index's heuristic table and is dropped only when a finite dense row turns
-    +inf.  The group entries are kept as search windows: the scalar rows
-    sorted by lo, so a scan stops at the first entry whose lo exceeds d, and
-    lo-sorted columns for the batched pass."""
+    `blocks[d]` caches, for the best-first search, the flattened dense block
+    toward customers from nodes (u, M1, d) and the same block plus the
+    heuristic at each landing node; it is valid for the index's heuristic
+    table and is dropped only when a finite dense row turns +inf.  rows()
+    caches every group entry in one list sorted by lo, so a scan stops at
+    the first entry whose lo exceeds d."""
 
-    __slots__ = ("dense", "dirty", "sink_pref", "sink", "pending", "blocks",
-                 "_rows", "_columns", "_windows")
+    __slots__ = ("dense", "dirty", "sink_pref", "sink", "pending", "blocks", "_rows")
 
     def __init__(self, dense, dirty, sink_pref):
         self.dense = dense          # (n+1, d0+1) min reduced cost, +inf if none
@@ -442,7 +423,7 @@ class _Bucket:
         self.sink = sink_pref.tolist()  # the same as Python floats
         self.pending: set[int] = set()  # targets whose groups need a rebuild
         self.blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self.drop_windows()
+        self._rows = None  # rows(), until the groups change
 
     def dense_block(self, d: int, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(T, A) from nodes (u, M1, d), cached: A[i * d + j] is the weight
@@ -452,61 +433,21 @@ class _Bucket:
         got = self.blocks[d] = ((a + h[1:, d - 1::-1]).ravel(), a.ravel())
         return got
 
-    def drop_windows(self) -> None:
-        self._rows = None      # every dirty entry as a _Group.rows tuple, by lo
-        self._columns = None   # the same, lo-sorted, as arrays
-        self._windows: dict[int, tuple] = {}  # d -> window(d)
-
-    def window(self, d: int) -> tuple:
-        """Grown-ng entries from nodes (u, M1, d), as (rows, columns).
-
-        One of the two is None.  `rows` lists every entry of the bucket as
-        _Group.rows tuples sorted by lo; the caller stops at the first lo > d
-        and skips those with hi < d.  `columns` holds, for exactly the
-        entries that fit d, arrays for the tuple fields from label on:
-        (label, v * stride - zd, label * stride - zd, -zd, cost).
-
-        Columns come only when at least BATCH_MIN entries fit d and the
-        bucket was already searched since its groups last changed: sorting
-        the entries into columns pays off only for a bucket searched again.
-        """
+    def rows(self) -> list[tuple]:
+        """Every grown-ng entry of the bucket as _Group.rows tuples sorted by
+        lo; from nodes (u, M1, d) the entries with lo <= d <= hi fit."""
         rows = self._rows
         if rows is None:
             rows = self._rows = list(chain.from_iterable(g.rows for g in self.dirty.values()))
             rows.sort(key=itemgetter(0))  # merges the groups' lo-sorted runs
-            return rows, None
-        if len(rows) < BATCH_MIN:
-            return rows, None
-        got = self._windows.get(d)
-        if got is None:
-            if self._columns is None:
-                self._columns = self._gather()
-            cols, ends, hi_min = self._columns
-            k = ends[d]  # entries are lo-sorted: those with lo <= d lead
-            cols = [c[:k] for c in cols]
-            if k and hi_min[k - 1] < d:  # a memory's capacity ceiling binds
-                sel = (cols[1] >= d).nonzero()[0]
-                cols = [c[sel] for c in cols]
-            got = (rows, None) if len(cols[0]) < BATCH_MIN else (None, cols[3:])
-            self._windows[d] = got
-        return got
-
-    def _gather(self):
-        blocks = [grp.columns() for grp in self.dirty.values() if grp.rows]
-        ints = np.concatenate([b[0] for b in blocks], axis=1)
-        order = np.argsort(ints[0])
-        ints = ints.take(order, axis=1)
-        costs = np.concatenate([b[1] for b in blocks]).take(order)
-        ends = np.searchsorted(ints[0], np.arange(self.dense.shape[1]), side="right")
-        hi_min = np.minimum.accumulate(ints[1])
-        return [*ints, costs], ends.tolist(), hi_min.tolist()
+        return rows
 
 
 class ArcIndex:
     """Reduced-cost view of the arc table for one pricing call.
 
     Only the rows that fit a vehicle are indexed (see _flatten): every group
-    minimum, bucket, window and decode reads those, and the decode helpers
+    minimum, bucket and decode reads those, and the decode helpers
     return table row ids for ComponentPathTable.arc_from_row.  bind_duals
     fixes the duals and the source edges; successor buckets are built lazily
     per (u, M1) and stay valid until invalidate() reports grown ng sets.
@@ -699,7 +640,7 @@ class ArcIndex:
             for v in sorted(got.pending):
                 self._group_dirty(u, m1, v, got.dirty)
             got.pending.clear()
-            got.drop_windows()
+            got._rows = None
         return got
 
     def _dirty_for(self, u: int, m1: int) -> list[int]:
@@ -843,7 +784,7 @@ class ArcIndex:
                 bucket.dense[v, :] = np.inf
                 bucket.dirty.pop(v, None)
                 bucket.pending.add(v)
-                bucket.drop_windows()
+                bucket._rows = None
 
     # -- decode helpers ------------------------------------------------------
 

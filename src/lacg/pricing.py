@@ -29,13 +29,10 @@ weights toward customers with empty ng sets and the same plus the heuristic
 at the landing node.  A block lives on its bucket across DSSR iterations
 until invalidation turns one of its finite rows +inf, so an expansion does
 one comparison against the bound, one nonzero and scalar reads.  Edges
-toward targets with grown ng sets come from the bucket's window for the
-node's capacity and are checked and written in one masked numpy pass per
-expanded node, where only pushes onto the heap run in Python.  Windows under
-arcs.BATCH_MIN entries, and a bucket's first search after it changes, take a
-scalar loop over rows sorted by their least fitting capacity lo, which stops
-at the first row with lo > d.  Searches without a heuristic build their
-blocks afresh and never read the cache.  bellman_ford keeps tuple-keyed
+toward targets with grown ng sets take one scalar loop over the bucket's
+entries sorted by their least fitting capacity lo, which stops at the first
+entry with lo > d.  Searches without a heuristic build their blocks afresh
+and never read the cache.  bellman_ford keeps tuple-keyed
 dicts as the plain reference.
 """
 
@@ -214,46 +211,24 @@ def _best_first(inst, index, heuristic, prune_bound=np.inf):
                     parent[(v, 0, d2)] = key
                     heapq.heappush(heap, (g + T.item(cell), d2, v, 0, g2, v))
         # targets with grown ng sets: the (M2, demand) entries whose landing
-        # capacity fits.  Within one expansion every (label, d2) target is
-        # distinct (a grown target's dense row is +inf and each group has
-        # unique (M2, demand)), so distances are checked and written at once.
-        rows, cols = bucket.window(d)
-        if rows:
-            for lo, hi, v, lab2, v_at, lab_at, neg_zd, w in rows:
-                if lo > d:
-                    break  # rows are lo-sorted
-                if d > hi:
-                    continue
-                g2 = g + w
-                f2 = g2 + pot_l[v_at + d]
-                edges += 1
-                if f2 >= bound:
-                    continue
-                at = lab_at + d
-                if g2 < flat.item(at) - 1e-15:
-                    flat[at] = g2
-                    d2 = d + neg_zd
-                    m2 = labels[lab2][1]
-                    parent[(v, m2, d2)] = key
-                    heapq.heappush(heap, (f2, d2, v, m2, g2, lab2))
-        elif cols is not None:
-            # flat indices are stored for d = 0: the arrays are offset by d
-            labs, v_at, lab_at, neg_zds, ws = cols
-            edges += len(ws)
-            g2s = g + ws
-            f2s = g2s + pot[d:].take(v_at)
-            dist_d = flat[d:]
-            live = (f2s < bound) & (g2s < dist_d.take(lab_at) - 1e-15)
-            hit = live.nonzero()[0]
-            if len(hit):
-                g2h = g2s[hit]
-                dist_d[lab_at[hit]] = g2h
-                for lab2, neg_zd, g2, f2 in zip(labs[hit].tolist(), neg_zds[hit].tolist(),
-                                                g2h.tolist(), f2s[hit].tolist()):
-                    d2 = d + neg_zd
-                    v, m2 = labels[lab2]
-                    parent[(v, m2, d2)] = key
-                    heapq.heappush(heap, (f2, d2, v, m2, g2, lab2))
+        # capacity fits, scanned in lo order up to the first lo > d
+        for lo, hi, v, lab2, v_at, lab_at, neg_zd, w in bucket.rows():
+            if lo > d:
+                break
+            if d > hi:
+                continue
+            g2 = g + w
+            f2 = g2 + pot_l[v_at + d]
+            edges += 1
+            if f2 >= bound:
+                continue
+            at = lab_at + d
+            if g2 < flat.item(at) - 1e-15:
+                flat[at] = g2
+                d2 = d + neg_zd
+                m2 = labels[lab2][1]
+                parent[(v, m2, d2)] = key
+                heapq.heappush(heap, (f2, d2, v, m2, g2, lab2))
     diag = PricingDiagnostics(
         nodes_expanded=nodes, edges_relaxed=edges, offset_rate=offr, adjusted_cost=np.nan,
     )

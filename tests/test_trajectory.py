@@ -1,10 +1,10 @@
 """Pinned column-generation trajectory on a capacity-20 instance with
 demands 1..10.
 
-The solve keeps enough memory in play that best-first pricing runs both its
-scalar loop (windows under BATCH_MIN grown-ng entries) and its batched pass,
-so any change that perturbs the search order, a counter or a float shows up
-here rather than only in the minutes-long benchmark.
+The solve keeps enough memory in play that best-first pricing extends many
+edges toward customers with grown ng sets, so any change that perturbs the
+search order, a counter or a float shows up here rather than only in the
+minutes-long benchmark.
 """
 
 import hashlib
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from lacg import driver
-from lacg.arcs import BATCH_MIN, ArcIndex, compute_component_paths
+from lacg.arcs import ArcIndex, compute_component_paths
 from lacg.driver import CgConfig, solve
 from lacg.dssr import price_elementary
 from lacg.instances import END_DEPOT, cost_matrix, generate_instance
@@ -136,34 +136,32 @@ def test_dijkstra_matches_bellman_ford_after_ng_growth(la_k):
     assert a.reduced_cost == pytest.approx(res.reduced_cost, abs=1e-9)
 
 
-def test_windows_match_group_filter():
-    inst, sets, table, index, duals, res = _grown(10)
+@pytest.mark.parametrize("la_k", sorted(PINNED))
+def test_bucket_rows_match_group_filter(la_k):
+    # the search stops at the first row with lo > d, so rows must be
+    # lo-sorted, and the rows that fit d must be exactly the group entries
+    # whose landing capacity covers v's demand and the memory's ceiling
+    inst, sets, table, index, duals, res = _grown(la_k)
     stride = inst.capacity + 1
-    kinds = set()
+    checked = 0
     for bucket in index._buckets.values():
+        rows = bucket.rows()
+        los = [r[0] for r in rows]
+        assert los == sorted(los)
+        for lo, hi, v, lab, v_at, lab_at, nz, w in rows:
+            assert (v_at, lab_at) == (v * stride + nz, lab * stride + nz)
         for d in range(stride):
             want = set()
             for v, grp in bucket.dirty.items():
                 for m2, zd, w, cap in zip(grp.m2s, grp.zds, grp.costs, grp.caps):
                     if inst.demand[v] <= d - zd <= cap:
                         want.add((v, index.label_keys.index((v, m2)), d - zd, w))
-            rows, cols = bucket.window(d)
-            if cols is None:
-                kinds.add("rows")
-                got = {(v, lab, nz + d, w)
-                       for lo, hi, v, lab, _, _, nz, w in rows if lo <= d <= hi}
-            else:
-                kinds.add("columns")
-                labs, v_at, lab_at, neg_zds, ws = (c.tolist() for c in cols)
-                assert len(labs) >= BATCH_MIN
-                vs = [index.label_keys[lab][0] for lab in labs]
-                assert v_at == [v * stride + nz for v, nz in zip(vs, neg_zds)]
-                assert lab_at == [lab * stride + nz for lab, nz in zip(labs, neg_zds)]
-                got = {(v, lab, nz + d, w)
-                       for v, lab, nz, w in zip(vs, labs, neg_zds, ws)}
-                assert len(got) == len(labs)
-            assert got == want
-    assert kinds == {"rows", "columns"}
+            got = [(v, lab, nz + d, w) for lo, hi, v, lab, v_at, lab_at, nz, w in rows
+                   if lo <= d <= hi]
+            assert len(got) == len(set(got))
+            assert set(got) == want
+            checked += len(got)
+    assert checked > 0
 
 
 @pytest.mark.parametrize("la_k", sorted(PINNED))
