@@ -10,7 +10,10 @@ Each owner u runs one subset dynamic program (Held & Karp), forward by
 subset size, over la(u)-local bits: bit j stands for la(u)[j].  la(u) is
 sorted and has at most MAX_LA_SIZE members, so the bits fit a uint32 for any
 number of customers, and local masks order subsets exactly as their global
-masks do.  Its three layers are each one numpy minimum over an axis:
+masks do.  Owners with la sets of one size run their programs together, one
+subset size at a time; demands are positive, so the sizes stop at the first
+one where no subset fits a vehicle.  A size is a few whole-array passes over
+every (subset, member) pair of those owners, one per table:
 
   seg  (S, v, w) : cheapest path visiting exactly S, from v to w, v, w in S:
                    min over y of c(v, y) + seg(S - v, y, w).
@@ -19,11 +22,14 @@ masks do.  Its three layers are each one numpy minimum over an axis:
   arc  (S, t)    : cheapest path from u over all of S ending at target t:
                    min over w of head(S, w) + c(w, t).
 
-The first minimum wins, so among equal-cost paths seg and head keep the
-lexicographically smallest; tied arc candidates end at different w, so the arc
-layer compares their paths.  Every owner sums the same costs in the same
-order, so a subset's seg costs agree across owners bit for bit.  Subsets whose
-demand cannot fit in a vehicle alongside u are skipped: such arcs could never
+Each minimum runs over the members of S only, and the member minimized over
+(y, v or w) leads the candidate array, so the minimum, its first argument
+and the arc layer's tie count are passes over slabs.  The first minimum
+wins, so among equal-cost paths seg and head keep the lexicographically
+smallest; tied arc candidates end at different w, so the arc layer compares
+their paths.  Every owner sums the same costs in the same order, so a
+subset's seg costs agree across owners bit for bit.  Subsets whose demand
+cannot fit in a vehicle alongside u are skipped: such arcs could never
 appear in a feasible route.  u's arcs form one grid of targets x subsets
 (see ComponentPathTable): table row t * subsets + j is grid cell (t, j), so
 the rows toward one target are contiguous and sorted by demand.  Every
@@ -60,6 +66,9 @@ from .neighbors import NeighborSets, bit, mask_of, ids_of
 
 MAX_LA_SIZE = 20
 _SINK = 0  # target id used for the end depot inside arc arrays
+# the subset DP stacks owners up to this many arc cells per pass, which keeps
+# its per-layer temporaries small enough to stay in cache
+_PASS_CELLS = 1 << 20
 
 
 class LaSizeError(ValueError):
@@ -79,6 +88,26 @@ class LaArc:
     @property
     def path(self) -> tuple[int, ...]:
         return (self.start,) + self.intermediates + (self.end,)
+
+
+def _subset_layout(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Member bits (2**k, k) and size of every k-bit local mask, and all the
+    masks in subset-id order: by size, then in itertools.combinations order,
+    which is lexicographic over ascending local indices, that is descending
+    order of the bit-reversed mask."""
+    members = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    size = members.sum(axis=1)
+    order = np.lexsort((-(members @ (1 << np.arange(k)[::-1])), size))
+    return members, size, order
+
+
+def _first(hit: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Per cell (p, x), idx[p, j] of the first j with hit[j, p, x]; hit is
+    (q, P, K) with a True in every cell, and each j is one slab pass."""
+    got = np.empty(hit.shape[1:], dtype=idx.dtype)
+    for j in range(len(hit) - 1, -1, -1):
+        np.copyto(got, idx[:, j, None], where=hit[j])
+    return got
 
 
 class ComponentPathTable:
@@ -103,6 +132,10 @@ class ComponentPathTable:
       _targets[u]     target ids
       _arc_cost[u]    (targets, subsets) cost of arc (u, target t, subset j)
       _arc_wstar[u]   its last customer before the target
+
+    _build runs the owners with la sets of one size in passes of up to
+    _PASS_CELLS arc cells; each owner's arrays are slices of (or copied out
+    of) arrays stacked over the owners of its pass.
     """
 
     def __init__(self, inst: Instance, sets: NeighborSets, costs: CostMatrix | None = None):
@@ -130,8 +163,14 @@ class ComponentPathTable:
         self._targets: dict[int, np.ndarray] = {}
         self._arc_cost: dict[int, np.ndarray] = {}
         self._arc_wstar: dict[int, np.ndarray] = {}
+        by_k: dict[int, list[int]] = {}
         for u in inst.customers:
-            self._build(u)
+            by_k.setdefault(len(sets.la(u)), []).append(u)
+        for k, owners in by_k.items():
+            # owners per pass: at most _PASS_CELLS arc cells if every subset fit
+            step = max(1, _PASS_CELLS // ((1 << k) * (inst.n - k)))
+            for i in range(0, len(owners), step):
+                self._build(owners[i:i + step], k)
 
     # -- helpers -----------------------------------------------------------
 
@@ -166,78 +205,113 @@ class ComponentPathTable:
 
     # -- construction ------------------------------------------------------
 
-    def _build(self, u: int) -> None:
-        """Owner u's subsets, subset DP and arc rows, all in la(u)-local bits."""
+    def _build(self, owners: list[int], k: int) -> None:
+        """Subsets, subset DP and arc rows of owners whose la sets all have k
+        members, in la-local bits, each layer one pass over every owner.
+
+        Each owner's subsets and arcs are slices of arrays stacked over the
+        owners, owner by owner: subset g of the stack is id g - off[o] of
+        its owner o.
+        """
         inst = self.inst
-        cm = self.costs
-        m = cm.m  # customers index as themselves
-        nbrs = self.sets.la(u)
-        k = len(nbrs)
-        la = np.array(nbrs, dtype=np.intp)
-        members = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
-        demand = members @ np.array([inst.demand[w] for w in nbrs], dtype=np.int64)
-        size = members.sum(axis=1)
-        # combinations order is lexicographic over ascending local indices,
-        # that is descending order of the bit-reversed mask
-        order = np.lexsort((-(members @ (1 << np.arange(k)[::-1])), size))
-        local = order[demand[order] <= inst.capacity - inst.demand[u]]
-        n_sub = len(local)
-        pos = np.full(1 << k, -1, dtype=np.int32)
-        pos[local] = np.arange(n_sub)
+        m = self.costs.m  # customers index as themselves
+        n_o = len(owners)
+        us = np.array(owners, dtype=np.intp)
+        la = np.array([self.sets.la(u) for u in owners], dtype=np.intp).reshape(n_o, k)
+        members, size, order = _subset_layout(k)
+        dem = np.array([0] + [inst.demand[v] for v in inst.customers], dtype=np.int64)
+        # demand of each owner's local masks; demands are positive, so the
+        # fitting subsets are closed under removal and come size by size
+        demand = dem[la] @ members.T
+        o_of, col = np.nonzero(demand[:, order] <= (inst.capacity - dem[us])[:, None])
+        local = order[col]
+        n_sub = np.bincount(o_of, minlength=n_o)
+        off = np.cumsum(n_sub) - n_sub
+        pos = np.full((n_o, 1 << k), -1, dtype=np.int32)
+        pos[o_of, local] = np.arange(len(local)) - off[o_of]
+        by_size = np.argsort(size[local], kind="stable")
+        starts = np.searchsorted(size[local][by_size], np.arange(k + 2))
 
-        # non-members stay +inf, so each minimum runs over members only
-        c_la = m[np.ix_(la, la)]
-        seg = np.full((n_sub, k, k), np.inf)
-        nxt = np.zeros((n_sub, k, k), dtype=np.int8)
-        ones = np.flatnonzero(size[local] == 1)
-        only = np.log2(local[ones]).astype(np.intp)
-        seg[ones, only, only] = 0.0
-        for s in range(2, k + 1):
-            layer = np.flatnonzero(size[local] == s)
-            for v in range(k):
-                rows = layer[(local[layer] >> v) & 1 == 1]
-                cand = c_la[v][None, :, None] + seg[pos[local[rows] ^ (1 << v)]]
-                nxt[rows, v] = cand.argmin(axis=1)
-                seg[rows, v] = cand.min(axis=1)
-        head = np.full((n_sub, k + 1), np.inf)
-        first = np.zeros((n_sub, k + 1), dtype=np.int8)
-        head[0, k] = 0.0
-        if k:
-            cand = m[u, la][None, :, None] + seg
-            first[:, :k] = cand.argmin(axis=1)
-            head[:, :k] = cand.min(axis=1)
-        self._pos[u] = pos
-        self._seg_cost[u] = seg
-        self._seg_next[u] = nxt
-        self._head_cost[u] = head
-        self._head_first[u] = first
-
-        excluded = set(nbrs) | {u}
-        targets = [v for v in inst.customers if v not in excluded]
-        t_idx = np.array([cm.index(END_DEPOT)] + [cm.index(v) for v in targets], dtype=np.intp)
-        ends = np.r_[la, u]
-        by_zd = np.argsort(demand[local], kind="stable")
-        # (target, end w, subset): head(S, w) + c(w, t), subsets in demand
-        # order; C order keeps the cost and wstar grids C-contiguous
-        grid = np.add(m[np.ix_(ends, t_idx)].T[:, :, None], head[by_zd].T[None], order="C")
-        cost = grid.min(axis=1)
-        wstar = ends[grid.argmin(axis=1)].astype(np.int32)
-        tied = (grid == cost[:, None, :]).sum(axis=1) > 1
-        for t, j in zip(*np.nonzero(tied)):
-            lm = int(local[by_zd[j]])
-            wstar[t, j] = min(
-                ends[np.flatnonzero(grid[t, :, j] == cost[t, j])],
-                key=lambda w: self._head_path(u, lm, int(w)),
-            )
+        outside = np.ones((n_o, inst.n + 1), dtype=bool)
+        rows = np.arange(n_o)[:, None]
+        outside[:, 0] = outside[rows, us[:, None]] = outside[rows, la] = False
+        targets = np.nonzero(outside)[1].reshape(n_o, -1)
+        t_idx = np.concatenate((np.full((n_o, 1), inst.n + 1), targets), axis=1)
+        c_la = m[la[:, :, None], la[:, None, :]]
+        c_u = m[us[:, None], la]
+        c_out = m[la[:, :, None], t_idx[:, None, :]]
+        # cells of non-members stay +inf with next 0
+        seg = np.full((len(local), k, k), np.inf)
+        nxt = np.zeros(seg.shape, dtype=np.int8)
+        head = np.full((len(local), k + 1), np.inf)
+        first = np.zeros(head.shape, dtype=np.int8)
+        head[off, k] = 0.0
+        # arcs by subset; an empty subset's only end is its owner
+        cost = np.empty((len(local), t_idx.shape[1]))
+        wstar = np.empty(cost.shape, dtype=np.int32)
+        cost[off] = m[us[:, None], t_idx]
+        wstar[off] = us[:, None]
+        for i, u in enumerate(owners):  # decode reads these while ties are broken
+            sl = slice(off[i], off[i] + n_sub[i])
+            self._pos[u] = pos[i]
+            self._seg_cost[u], self._seg_next[u] = seg[sl], nxt[sl]
+            self._head_cost[u], self._head_first[u] = head[sl], first[sl]
+        # one pass per size, up to the largest size that fits; candidates
+        # lead with the member minimized over, so each minimum is over slabs;
+        # seg_rows[g * k + v] is seg(g, v, .)
+        seg_rows = seg.reshape(len(local) * k, k)
+        nxt_rows = nxt.reshape(seg_rows.shape)
+        for s in range(1, int(size[local].max()) + 1):
+            g = by_size[starts[s]:starts[s + 1]]
+            o = o_of[g]
+            mem = np.nonzero(members[local[g]])[1].reshape(-1, s)  # ascending
+            if s == 1:
+                seg[g, mem[:, 0], mem[:, 0]] = 0.0
+            else:
+                # seg over every (subset, member v) pair: the other members
+                # y lead, then w
+                y = mem[:, np.nonzero(~np.eye(s, dtype=bool))[1]].reshape(-1, s - 1).T
+                v = mem.ravel()
+                ov = np.repeat(o, s)
+                prev = off[ov] + pos[ov, (local[g, None] ^ (1 << mem)).ravel()]
+                cand = c_la[ov, v, y][:, :, None] + seg_rows[prev * k + y]
+                low = cand.min(axis=0)
+                at = np.repeat(g * k, s) + v
+                seg_rows[at] = low
+                nxt_rows[at] = np.where(low < np.inf, _first(cand == low, y.T), 0)
+            # head: the first member v leads
+            cand = c_u[o, mem.T][:, :, None] + seg_rows[g * k + mem.T]
+            low = head[g, :k] = cand.min(axis=0)
+            first[g, :k] = np.where(low < np.inf, _first(cand == low, mem), 0)
+            # arcs: the last member w leads, then target; equal-cost ends
+            # are told apart by their paths
+            cand = c_out[o, mem.T] + np.take_along_axis(low, mem, axis=1).T[:, :, None]
+            low = cost[g] = cand.min(axis=0)
+            ends = la[o[:, None], mem]
+            hit = cand == low
+            w = _first(hit, ends)
+            for i, t in zip(*np.nonzero(hit.sum(axis=0) > 1)):
+                u, lm = owners[o[i]], int(local[g[i]])
+                w[i, t] = min(ends[i, hit[:, i, t]],
+                              key=lambda x: self._head_path(u, lm, int(x)))
+            wstar[g] = w
+        # each owner's grid: subsets in demand order, ties by id
         local = local.astype(np.uint32)
-        self._sub_id[u] = by_zd.astype(np.int32)
-        self._sub_zd[u] = (inst.demand[u] + demand[local[by_zd]]).astype(np.int32)
-        self._sub_local[u] = local[by_zd]
-        self._targets[u] = np.array([_SINK] + targets, dtype=np.int32)
-        self._arc_cost[u] = cost
-        self._arc_wstar[u] = wstar
         j = np.arange(max(1, k), dtype=np.uint32)
-        self._subset_indicator[u] = ((local[:, None] >> j) & 1).astype(float)
+        indicator = ((local[:, None] >> j) & 1).astype(float)
+        zd = demand[o_of, local]
+        by_zd = np.lexsort((zd, o_of))
+        cost, wstar, local = cost[by_zd], wstar[by_zd], local[by_zd]
+        sub_id = (by_zd - off[o_of]).astype(np.int32)
+        sub_zd = (dem[us][o_of] + zd[by_zd]).astype(np.int32)
+        sinks = np.concatenate((np.full((n_o, 1), _SINK), targets), axis=1).astype(np.int32)
+        for i, u in enumerate(owners):
+            sl = slice(off[i], off[i] + n_sub[i])
+            self._arc_cost[u] = np.ascontiguousarray(cost[sl].T)
+            self._arc_wstar[u] = np.ascontiguousarray(wstar[sl].T)
+            self._sub_id[u], self._sub_zd[u], self._sub_local[u] = sub_id[sl], sub_zd[sl], local[sl]
+            self._targets[u] = sinks[i]
+            self._subset_indicator[u] = indicator[sl]
 
     # -- lookups -----------------------------------------------------------
 
