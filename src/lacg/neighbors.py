@@ -14,6 +14,8 @@ views (bit u-1 set for customer u) are exposed for the pricing hot path.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .instances import Instance, CostMatrix, cost_matrix, START_DEPOT, END_DEPOT
 
 
@@ -93,12 +95,13 @@ def build_la_neighbors(inst: Instance, k: int, costs: CostMatrix | None = None) 
     if k < 0:
         raise ValueError("k must be >= 0")
     costs = costs or cost_matrix(inst)
-    la: dict[int, tuple[int, ...]] = {}
-    for u in inst.customers:
-        others = [v for v in inst.customers if v != u]
-        others.sort(key=lambda v: (costs.cost(u, v), v))
-        la[u] = tuple(sorted(others[:k]))
-    return NeighborSets(la, k)
+    n = inst.n
+    dist = costs.m[1:n + 1, 1:n + 1].copy()  # customers index as themselves
+    np.fill_diagonal(dist, np.inf)  # u itself sorts last
+    # each row by cost, then id
+    nearest = np.lexsort((np.broadcast_to(np.arange(n), dist.shape), dist))[:, :min(k, n - 1)]
+    rows = (np.sort(nearest, axis=1) + 1).tolist()
+    return NeighborSets({u: tuple(row) for u, row in zip(inst.customers, rows)}, k)
 
 
 def augment_ng(sets: NeighborSets, w: int, u: int) -> bool:
