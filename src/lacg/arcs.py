@@ -66,9 +66,9 @@ from .neighbors import NeighborSets, bit, mask_of, ids_of
 
 MAX_LA_SIZE = 20
 _SINK = 0  # target id used for the end depot inside arc arrays
-# the subset DP stacks owners up to this many arc cells per pass, which keeps
-# its per-layer temporaries small enough to stay in cache
-_PASS_CELLS = 1 << 20
+# the subset DP runs each layer over blocks of owners with up to this many
+# arc cells, which keeps the layer's temporaries small enough to stay in cache
+_BLOCK_CELLS = 1 << 17
 
 
 class LaSizeError(ValueError):
@@ -133,9 +133,10 @@ class ComponentPathTable:
       _arc_cost[u]    (targets, subsets) cost of arc (u, target t, subset j)
       _arc_wstar[u]   its last customer before the target
 
-    _build runs the owners with la sets of one size in passes of up to
-    _PASS_CELLS arc cells; each owner's arrays are slices of (or copied out
-    of) arrays stacked over the owners of its pass.
+    _build runs the owners with la sets of one size together: an owner's DP
+    tables and subset arrays are slices of arrays stacked over those owners.
+    Its arc grid is a view of _arc_cells, every owner's grid raveled, in
+    customer order; ArcIndex gathers the fitting rows from there.
     """
 
     def __init__(self, inst: Instance, sets: NeighborSets, costs: CostMatrix | None = None):
@@ -166,11 +167,16 @@ class ComponentPathTable:
         by_k: dict[int, list[int]] = {}
         for u in inst.customers:
             by_k.setdefault(len(sets.la(u)), []).append(u)
-        for k, owners in by_k.items():
-            # owners per pass: at most _PASS_CELLS arc cells if every subset fit
-            step = max(1, _PASS_CELLS // ((1 << k) * (inst.n - k)))
-            for i in range(0, len(owners), step):
-                self._build(owners[i:i + step], k)
+        cells = [self._build(owners, k) for k, owners in by_k.items()]
+        if len(cells) == 1:
+            self._arc_cells = cells[0]
+        else:  # owners of different la sizes: one buffer in customer order
+            self._arc_cells = np.concatenate([self._arc_cost[u].ravel() for u in inst.customers])
+            at = 0
+            for u in inst.customers:
+                shape = self._arc_cost[u].shape
+                self._arc_cost[u] = self._arc_cells[at:at + shape[0] * shape[1]].reshape(shape)
+                at += shape[0] * shape[1]
 
     # -- helpers -----------------------------------------------------------
 
@@ -205,13 +211,16 @@ class ComponentPathTable:
 
     # -- construction ------------------------------------------------------
 
-    def _build(self, owners: list[int], k: int) -> None:
-        """Subsets, subset DP and arc rows of owners whose la sets all have k
-        members, in la-local bits, each layer one pass over every owner.
+    def _build(self, owners: list[int], k: int) -> np.ndarray:
+        """Subsets, subset DP and arc grids of owners whose la sets all have k
+        members, in la-local bits; returns their grids raveled, owner by
+        owner, of which the owners' _arc_cost are views.
 
-        Each owner's subsets and arcs are slices of arrays stacked over the
-        owners, owner by owner: subset g of the stack is id g - off[o] of
-        its owner o.
+        The owners' subsets are stacked owner by owner: subset g of the stack
+        is id g - off[o] of its owner o, and an owner's DP tables are slices
+        of the stacked ones.  Each subset size is one layer of whole-array
+        passes over a block of owners of up to _BLOCK_CELLS arc cells, which
+        keeps the layer's temporaries small enough to stay in cache.
         """
         inst = self.inst
         m = self.costs.m  # customers index as themselves
@@ -229,14 +238,13 @@ class ComponentPathTable:
         off = np.cumsum(n_sub) - n_sub
         pos = np.full((n_o, 1 << k), -1, dtype=np.int32)
         pos[o_of, local] = np.arange(len(local)) - off[o_of]
-        by_size = np.argsort(size[local], kind="stable")
-        starts = np.searchsorted(size[local][by_size], np.arange(k + 2))
 
         outside = np.ones((n_o, inst.n + 1), dtype=bool)
         rows = np.arange(n_o)[:, None]
         outside[:, 0] = outside[rows, us[:, None]] = outside[rows, la] = False
         targets = np.nonzero(outside)[1].reshape(n_o, -1)
         t_idx = np.concatenate((np.full((n_o, 1), inst.n + 1), targets), axis=1)
+        n_t = t_idx.shape[1]
         c_la = m[la[:, :, None], la[:, None, :]]
         c_u = m[us[:, None], la]
         c_out = m[la[:, :, None], t_idx[:, None, :]]
@@ -247,7 +255,7 @@ class ComponentPathTable:
         first = np.zeros(head.shape, dtype=np.int8)
         head[off, k] = 0.0
         # arcs by subset; an empty subset's only end is its owner
-        cost = np.empty((len(local), t_idx.shape[1]))
+        cost = np.empty((len(local), n_t))
         wstar = np.empty(cost.shape, dtype=np.int32)
         cost[off] = m[us[:, None], t_idx]
         wstar[off] = us[:, None]
@@ -256,13 +264,19 @@ class ComponentPathTable:
             self._pos[u] = pos[i]
             self._seg_cost[u], self._seg_next[u] = seg[sl], nxt[sl]
             self._head_cost[u], self._head_first[u] = head[sl], first[sl]
-        # one pass per size, up to the largest size that fits; candidates
-        # lead with the member minimized over, so each minimum is over slabs;
-        # seg_rows[g * k + v] is seg(g, v, .)
+        # layers (block, size): subsets ordered by block, then size
+        key = (off // max(1, _BLOCK_CELLS // n_t))[o_of] * (k + 1) + size[local]
+        by_key = np.argsort(key, kind="stable")
+        starts = np.searchsorted(key[by_key], np.arange(key.max() + 2))
+        # candidates lead with the member minimized over, so each minimum is
+        # over slabs; seg_rows[g * k + v] is seg(g, v, .)
         seg_rows = seg.reshape(len(local) * k, k)
         nxt_rows = nxt.reshape(seg_rows.shape)
-        for s in range(1, int(size[local].max()) + 1):
-            g = by_size[starts[s]:starts[s + 1]]
+        for layer in range(len(starts) - 1):
+            g = by_key[starts[layer]:starts[layer + 1]]
+            s = layer % (k + 1)
+            if s == 0 or not len(g):  # the empty subsets, or past the largest size that fits
+                continue
             o = o_of[g]
             mem = np.nonzero(members[local[g]])[1].reshape(-1, s)  # ascending
             if s == 1:
@@ -301,17 +315,20 @@ class ComponentPathTable:
         indicator = ((local[:, None] >> j) & 1).astype(float)
         zd = demand[o_of, local]
         by_zd = np.lexsort((zd, o_of))
-        cost, wstar, local = cost[by_zd], wstar[by_zd], local[by_zd]
+        local = local[by_zd]
         sub_id = (by_zd - off[o_of]).astype(np.int32)
         sub_zd = (dem[us][o_of] + zd[by_zd]).astype(np.int32)
         sinks = np.concatenate((np.full((n_o, 1), _SINK), targets), axis=1).astype(np.int32)
+        cells = np.empty(cost.size)
         for i, u in enumerate(owners):
             sl = slice(off[i], off[i] + n_sub[i])
-            self._arc_cost[u] = np.ascontiguousarray(cost[sl].T)
-            self._arc_wstar[u] = np.ascontiguousarray(wstar[sl].T)
+            grid = self._arc_cost[u] = cells[off[i] * n_t:(off[i] + n_sub[i]) * n_t].reshape(n_t, -1)
+            grid[...] = cost[by_zd[sl]].T
+            self._arc_wstar[u] = np.ascontiguousarray(wstar[by_zd[sl]].T)
             self._sub_id[u], self._sub_zd[u], self._sub_local[u] = sub_id[sl], sub_zd[sl], local[sl]
             self._targets[u] = sinks[i]
             self._subset_indicator[u] = indicator[sl]
+        return cells
 
     # -- lookups -----------------------------------------------------------
 
@@ -568,9 +585,10 @@ class ArcIndex:
         row always; any other row lands below v's demand and is left out.
         Fit depends on demand only, so a group (a run of equal demand in a
         grid row) is kept or dropped whole, and the kept rows of a grid row
-        are a prefix of it.  Subset ids are made global by offsetting each
-        owner's by the subsets of the owners before it; group starts are
-        positions in the block.
+        are a prefix of it.  The costs are gathered from the table's
+        _arc_cells, which already holds every owner's grid in this order.
+        Subset ids are made global by offsetting each owner's by the subsets
+        of the owners before it; group starts are positions in the block.
         """
         table = self.table
         owners = self.inst.customers
@@ -596,8 +614,7 @@ class ArcIndex:
         tgt = np.repeat(cat(table._targets), reps)
         self._need = np.array([0] + [self.inst.demand[v] for v in owners])
         fit = grp_zd[grp] + self._need[tgt] <= self.d0
-        self._flat_cost = np.concatenate([table._arc_cost[u].ravel() for u in owners])[
-            np.repeat(fit, grp_size[grp])]
+        self._flat_cost = table._arc_cells[np.repeat(fit, grp_size[grp])]
         keep = np.flatnonzero(fit)
         grp, tgt = grp[keep], tgt[keep]
         sizes = grp_size[grp]

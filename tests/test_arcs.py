@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lacg.instances import Instance, generate_instance, cost_matrix, END_DEPOT
-from lacg.neighbors import build_la_neighbors, augment_ng, mask_of, bit
+from lacg.neighbors import NeighborSets, build_la_neighbors, augment_ng, mask_of, bit
 from lacg.routes import DualSolution
 from lacg.arcs import LaSizeError, compute_component_paths, build_arc_index
 from lacg.oracle import arcs_for, lowest_rc_arc
@@ -240,6 +240,36 @@ def test_inner_costs_u_independent():
                     if key in seen:
                         assert seen[key] == got
                     seen[key] = got
+
+
+def test_mixed_la_sizes_match_uniform_tables():
+    # owners with la sets of different sizes are built in separate stacks;
+    # each owner's arrays equal those of a table with one la size, and the
+    # arc grids are views of one buffer in customer order
+    inst = generate_instance(105, 16, 20, "uniform_1_10")
+    cm = cost_matrix(inst)
+    uniform = {k: compute_component_paths(inst, build_la_neighbors(inst, k, cm), cm)
+               for k in (2, 5)}
+    sets = NeighborSets({u: uniform[2 + 3 * (u % 2)].sets.la(u) for u in inst.customers}, 5)
+    table = compute_component_paths(inst, sets, cm)
+    for u in inst.customers:
+        ref = uniform[2 + 3 * (u % 2)]
+        for name in ("_pos", "_seg_cost", "_seg_next", "_head_cost", "_head_first",
+                     "_subset_indicator", "_sub_id", "_sub_zd", "_sub_local", "_targets",
+                     "_arc_cost", "_arc_wstar"):
+            got, want = getattr(table, name)[u], getattr(ref, name)[u]
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert np.shares_memory(table._arc_cost[u], table._arc_cells)
+    cells = np.concatenate([table._arc_cost[u].ravel() for u in inst.customers])
+    assert table._arc_cells.tobytes() == cells.tobytes()
+    # the index gathers each owner's fitting cells from that buffer
+    index = build_arc_index(table, sets, inst.capacity)
+    need = np.array([0] + [inst.demand[v] for v in inst.customers])
+    fit = [table._sub_zd[u] + need[table._targets[u]][:, None] <= inst.capacity
+           for u in inst.customers]
+    want = np.concatenate([table._arc_cost[u][f] for u, f in zip(inst.customers, fit)])
+    assert index._flat_cost.tobytes() == want.tobytes()
 
 
 def test_la_size_guard():
