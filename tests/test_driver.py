@@ -212,3 +212,15 @@ def test_trace_counts_edges_of_every_search(tmp_path, monkeypatch):
     with open(tmp_path / "t.csv") as f:
         rows = list(csv.DictReader(f))
     assert [int(r["edges_relaxed"]) for r in rows] == searched
+
+
+def test_setup_split_logged(caplog):
+    inst = generate_instance(3, 8, 4, "unit")
+    with caplog.at_level("DEBUG", logger="lacg.driver"):
+        res = solve(inst, CgConfig(la_k=3, max_iterations=1))
+    rec = [r for r in caplog.records if "set-up" in r.getMessage()]
+    assert len(rec) == 1 and rec[0].name == "lacg.driver" and rec[0].levelname == "DEBUG"
+    arm, total, *parts = rec[0].args
+    assert arm == "la3" and total == pytest.approx(1e3 * res.setup_time)
+    assert len(parts) == 4 and all(p >= 0 for p in parts)
+    assert sum(parts) == pytest.approx(total)
