@@ -90,17 +90,6 @@ class LaArc:
         return (self.start,) + self.intermediates + (self.end,)
 
 
-def _subset_layout(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Member bits (2**k, k) and size of every k-bit local mask, and all the
-    masks in subset-id order: by size, then in itertools.combinations order,
-    which is lexicographic over ascending local indices, that is descending
-    order of the bit-reversed mask."""
-    members = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
-    size = members.sum(axis=1)
-    order = np.lexsort((-(members @ (1 << np.arange(k)[::-1])), size))
-    return members, size, order
-
-
 def _first(hit: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Per cell (p, x), idx[p, j] of the first j with hit[j, p, x]; hit is
     (q, P, K) with a True in every cell, and each j is one slab pass."""
@@ -227,7 +216,11 @@ class ComponentPathTable:
         n_o = len(owners)
         us = np.array(owners, dtype=np.intp)
         la = np.array([self.sets.la(u) for u in owners], dtype=np.intp).reshape(n_o, k)
-        members, size, order = _subset_layout(k)
+        members = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+        size = members.sum(axis=1)
+        # subset ids run by size, then in combinations order: lexicographic
+        # over ascending local indices, that is descending bit-reversed mask
+        order = np.lexsort((-(members @ (1 << np.arange(k)[::-1])), size))
         dem = np.array([0] + [inst.demand[v] for v in inst.customers], dtype=np.int64)
         # demand of each owner's local masks; demands are positive, so the
         # fitting subsets are closed under removal and come size by size
