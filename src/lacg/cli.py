@@ -21,8 +21,10 @@ by the run's status:
                    certificate fails its check also exits 1
     time_limit  3  stopped by --time-limit before optimality; the files hold
                    the last restricted master.  The limit is checked after
-                   every relax-and-forbid iteration of a pricing call, so a
-                   run can overrun it by one search plus one RMP solve
+                   every relax-and-forbid iteration of a pricing call and
+                   inside every search after a call's first, so a run can
+                   overrun it by the first search of a call plus one RMP
+                   solve
 
 An optimal run also prints its certificate and writes it to the summary
 CSV: the least cover of a customer (>= 1), the least weight (>= 0), the

@@ -8,13 +8,19 @@ round with minimum reduced cost above -rc_stop_tol, which certifies LP
 optimality over all elementary routes; the result then carries a
 Certificate, figures from which that claim can be checked.  A time limit is
 also passed into each pricing call as a deadline, so it bounds the work
-inside a call, not only between calls; one search and one RMP solve can
-still run past it.
+inside a call, not only between calls; the first search of a call and one
+RMP solve can still run past it.
+
+The restricted masters of a run differ only by appended columns, so one
+`rmp.Master` serves them all: it keeps the cover block and the simplex
+record between solves, and each solve scatters and replays only the new
+columns, with the result of a fresh solve.
 
 The trace keeps one row per iteration.  Wall times are accumulated on the
 result object and written to the run summary, never into the trace CSV, so
 identical invocations produce byte-identical trace files; the set-up's split
-(cost matrix, neighbors, arc table, index) goes to one DEBUG log line.
+(cost matrix, neighbors, arc table, index) goes to one DEBUG log line, and
+each iteration's RMP seconds and pivot split to another.
 """
 
 from __future__ import annotations
@@ -29,8 +35,7 @@ from .neighbors import build_la_neighbors
 from .routes import DualSolution, reduced_cost
 from .arcs import compute_component_paths, ArcIndex
 from .dssr import price_elementary
-from .rmp import Column, make_column, initial_columns, solve_rmp, lagrangian_bound
-from .simplex import Replay
+from .rmp import Column, Master, make_column, initial_columns, solve_rmp, lagrangian_bound
 
 log = logging.getLogger(__name__)
 
@@ -173,6 +178,7 @@ def solve(inst: Instance, config: CgConfig | None = None) -> CgResult:
               1e3 * (t_table - t_sets), 1e3 * (t_index - t_table))
 
     columns = initial_columns(inst, costs)
+    master = Master(inst.n, inst.fleet)
     pool = {c.route.seq for c in columns}
     trace = CgTrace()
     pricing_time = 0.0
@@ -183,11 +189,10 @@ def solve(inst: Instance, config: CgConfig | None = None) -> CgResult:
     it = 0
     repeated = 0
     certificate = None
-    replay = Replay()  # each RMP only appends columns to the previous one
     while True:
         it += 1
         t0 = time.perf_counter()
-        sol = solve_rmp(columns, inst.n, inst.fleet, replay=replay)
+        sol = solve_rmp(columns, inst.n, inst.fleet, master=master)
         t1 = time.perf_counter()
         rmp_time += t1 - t0
         if sol.status != "optimal":
@@ -204,8 +209,9 @@ def solve(inst: Instance, config: CgConfig | None = None) -> CgResult:
 
         min_rc = res.reduced_cost
         log.debug("iteration %d: rmp objective %r, min reduced cost %r, %d DSSR iterations, "
-                  "%d nodes, %d edges", it, sol.objective, min_rc, res.iterations,
-                  res.nodes_expanded, res.edges_relaxed)
+                  "%d nodes, %d edges; rmp %.2f ms, %d pivots, %d replayed", it, sol.objective,
+                  min_rc, res.iterations, res.nodes_expanded, res.edges_relaxed,
+                  1e3 * (t1 - t0), sol.pivots, sol.replayed)
         bound = (
             lagrangian_bound(sol.objective, min_rc, inst.n)
             if res.exact else float("nan")

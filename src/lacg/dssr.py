@@ -17,8 +17,9 @@ trim with negative reduced cost is collected as a bonus column, and with
 early_exit="first_negative" the call returns such a column immediately
 (flagged inexact, so the caller still owes a final exact call before
 declaring convergence).  A `deadline` (a time.perf_counter() value) is
-checked after each non-elementary iteration; once it has passed, the call
-returns the best trim found so far, likewise inexact.
+checked after each non-elementary iteration, and inside every search after
+the first, which has left a trimmed route by then; once it has passed, the
+call returns the best trim found so far, likewise inexact.
 """
 
 from __future__ import annotations
@@ -133,10 +134,17 @@ def price_elementary(inst: Instance, sets: NeighborSets, table: ComponentPathTab
     for it in range(1, limit + 1):
         res = solve_la_pricing(
             inst, sets, table, duals, index=index, heuristic=heuristic, prune_bound=best_rc,
+            deadline=deadline if best_elem is not None else None,
         )
         total_nodes += res.diagnostics.nodes_expanded
         total_edges += res.diagnostics.edges_relaxed
         route = res.route
+        if route is None:  # the deadline passed inside the search
+            return DssrResult(
+                route=best_elem, reduced_cost=best_rc, early_columns=early,
+                iterations=it, exact=False, log=log, nodes_expanded=total_nodes,
+                edges_relaxed=total_edges,
+            )
         if best_elem is not None and res.reduced_cost >= best_rc - 1e-12:
             # nothing in the current relaxation beats a route that is already
             # elementary and graph-feasible: it is the exact minimizer

@@ -39,6 +39,7 @@ dicts as the plain reference.
 from __future__ import annotations
 
 import heapq
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +65,7 @@ class PricingDiagnostics:
 
 @dataclass
 class PricingResult:
-    route: Route
+    route: Route | None  # None when a deadline stopped the search
     reduced_cost: float
     diagnostics: PricingDiagnostics
 
@@ -96,19 +97,25 @@ def solve_la_pricing(inst: Instance, sets: NeighborSets, table: ComponentPathTab
                      duals: DualSolution, mode: str = "dijkstra", *,
                      index: ArcIndex | None = None,
                      heuristic: np.ndarray | None = None,
-                     prune_bound: float = np.inf) -> PricingResult:
+                     prune_bound: float = np.inf,
+                     deadline: float | None = None) -> PricingResult:
     """Minimum-reduced-cost route of the relaxation under the current ng sets.
 
     With a finite prune_bound the search may discard everything at or above
     the bound; the returned value is then exact only when it beats the bound
-    (callers holding a route that attains the bound lose nothing).
+    (callers holding a route that attains the bound lose nothing).  A
+    best-first search checks `deadline` (a time.perf_counter() value) every
+    256 expansions; once it has passed, the result has no route and a NaN
+    reduced cost, with the counts of the work done.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     index = index or ArcIndex(table, sets, inst.capacity)
     index.bind_duals(duals)
     if mode == "dijkstra":
-        g, parent, diag = _best_first(inst, index, heuristic, prune_bound)
+        g, parent, diag = _best_first(inst, index, heuristic, prune_bound, deadline)
+        if g is None:
+            return PricingResult(route=None, reduced_cost=np.nan, diagnostics=diag)
     else:
         g, parent, diag = _relax_all(inst, index)
     if _SINK_KEY not in parent:
@@ -118,7 +125,7 @@ def solve_la_pricing(inst: Instance, sets: NeighborSets, table: ComponentPathTab
     return PricingResult(route=route, reduced_cost=g, diagnostics=diag)
 
 
-def _best_first(inst, index, heuristic, prune_bound=np.inf):
+def _best_first(inst, index, heuristic, prune_bound=np.inf, deadline=None):
     n, d0 = inst.n, inst.capacity
     stride = d0 + 1
     offr = index.offset_rate()
@@ -167,6 +174,10 @@ def _best_first(inst, index, heuristic, prune_bound=np.inf):
         if dom and any(d1 > d and g1 < g for d1, g1 in dom):
             closed.add(at)
             continue
+        # before the first expansion and every 256th after it
+        if deadline is not None and not nodes & 255 and time.perf_counter() >= deadline:
+            sink_g = None
+            break
         expanded.setdefault(lab, []).append((d, g))
         closed.add(at)
         nodes += 1

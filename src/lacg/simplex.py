@@ -2,9 +2,12 @@
 
 Solves   min c.x  s.t.  A x {<=,>=,=} b,  x >= 0.
 
-The float path keeps the full tableau in a numpy array and pivots with
-vectorized row operations (Dantzig entering rule, lowest-index ties, Bland's
-rule after a degeneracy stall).  The exact path runs the same algorithm over
+The float path keeps the tableau [A | b] over [z | objective], z the negated
+reduced costs, in one numpy array and pivots with vectorized row operations
+(Dantzig entering rule, lowest-index ties, Bland's rule after a degeneracy
+stall).  A pivot's rank-1 update is one BLAS outer product into a reused
+buffer and one subtraction, which update the rows, the right-hand side, z
+and the objective together.  The exact path runs the same algorithm over
 Fractions with Bland's rule throughout; it is meant for oracle-grade checks
 on tiny problems, not for speed.
 
@@ -14,20 +17,31 @@ get a consistent (primal, dual) pair with strong duality up to tolerance.
 
 Exact replay.  A float solve given a `Replay` record writes into it every
 step it takes: each pivot (pivot row r, entering column e, the pivot column
-and the pivot row after the update), each drive-out row and each phase end,
-plus a tableau snapshot every SNAPSHOT_EVERY steps and at the start of phase
-2.  Every tableau operation acts on each column alone.  So when the next
-LP only appends columns to the recorded one, it re-applies the recorded
-pivots to the appended columns and the right-hand side alone, and updates
-the full reduced-cost row with the recorded pivot row: one vector operation
-per step instead of a rank-1 update of the whole tableau.  At every step it
-evaluates the real entering and drive-out rules on that row.  At the first
-step where they decide otherwise (an appended column would enter, or a
-last-bit difference of the phase-2 reduced costs changes the choice) it
+with its z entry, and the pivot row after the update), each drive-out row
+and each phase end, the reduced-cost row at each phase start, and a tableau
+snapshot every SNAPSHOT_EVERY steps and at each phase start.  Every tableau
+operation acts on each column alone.  So when the next LP only appends
+columns to the recorded one, it re-applies the recorded pivots to the
+appended columns and the right-hand side alone.
+
+A phase whose reduced-cost row starts, on the old columns, byte for byte as
+the record's (phase 1 of a cover LP always does: its costs are 0/1 and its
+first tableau integral, so `cb @ T` is exact) runs lean: the old columns'
+reduced costs stay the record's at every step, so it decides from the
+recorded step and the appended columns' reduced costs alone, and the
+recorded pivot column updates the appended columns, the right-hand side,
+their z and the objective in one outer product.  Otherwise the phase also
+updates the full z row with the recorded pivot row at each step.  Either way
+the real entering and drive-out rules are evaluated at every step.  At the
+first step where they choose otherwise (an appended column would enter, or
+a last-bit difference of the reduced costs changes the choice) the solve
 rebuilds the full tableau from the last snapshot and continues with the
-ordinary simplex.  Each phase start computes `cb @ T` on the full-width
+ordinary simplex; a lean phase first rebuilds its full z row as the
+phase-start row minus each step's product, in the order a fresh solve
+subtracts them.  Each phase start computes `cb @ T` on the full-width
 tableau, as a fresh solve does, so the result equals a fresh solve's bit for
-bit; an LP that does not extend the recorded one is solved fresh.
+bit (up to the sign of a zero, which the result normalizes); an LP that does
+not extend the recorded one is solved fresh.
 """
 
 from __future__ import annotations
@@ -40,9 +54,12 @@ import numpy as np
 _TOL = 1e-9
 SNAPSHOT_EVERY = 16  # steps between tableau snapshots of a Replay record
 
-# a recorded step: (r, e, pivot element, pivot column with col[r] = 0, pivot
-# row after the update).  A phase end has r = -1; a drive-out row left
-# without a pivot has e = -1.  Neither carries arrays.
+# a recorded step: (r, e, pivot element, pivot column, pivot row after the
+# update, without the right-hand side).  The pivot column has col[r] = 0 and,
+# last, the entering column's z before the step (0 for a drive-out pivot,
+# which keeps no row).  A phase end has r = -1; a drive-out row left without
+# a pivot has e = -1.  Neither carries arrays.  A row recorded by a lean step
+# is lazy, see `_grown`.
 _END = (-1, -1, 0.0, None, None)
 
 
@@ -72,6 +89,8 @@ class Replay:
         # step index -> the tableau before that step, as column blocks
         # (structural blocks in order, then the slack/artificial block)
         self.snaps: dict[int, tuple] = {}
+        # step index -> the full reduced-cost row at a phase start
+        self.starts: dict[int, np.ndarray] = {}
 
     def _extended(self, c, A, senses, b, tol) -> int | None:
         """Column count of the recorded LP if (c, A) only appends to it."""
@@ -125,7 +144,7 @@ def _solve_float(c, A, senses, b, tol, replay) -> LpResult:
             row_sign[i] = -1.0
             flipped[i] = {"<=": ">=", ">=": "<=", "=": "="}[flipped[i]]
 
-    # column layout: structural | slack/surplus | artificial, RHS kept apart
+    # column layout: structural | slack/surplus | artificial
     slack_cols = []
     for i, s in enumerate(flipped):
         if s != "=":
@@ -134,13 +153,12 @@ def _solve_float(c, A, senses, b, tol, replay) -> LpResult:
     basis_unit_col = [-1] * m  # unit column used to read the dual of row i
     art_rows = [i for i, s in enumerate(flipped) if s != "<="]
     n_art = len(art_rows)
-    N = n + n_slack + n_art
 
-    T = np.zeros((m, N))
-    T[:, :n] = A
-    T[:, :n] *= row_sign[:, None]
+    # the structural block is only read: A itself unless a row is flipped
+    struct = A * row_sign[:, None] if (row_sign < 0).any() else A
+    units = np.zeros((m, n_slack + n_art))
     for j, (i, coef) in enumerate(slack_cols):
-        T[i, n + j] = coef
+        units[i, j] = coef
         if flipped[i] == "<=":
             basis_unit_col[i] = n + j
     basis = [-1] * m
@@ -148,34 +166,36 @@ def _solve_float(c, A, senses, b, tol, replay) -> LpResult:
         if s == "<=":
             basis[i] = basis_unit_col[i]
     for j, i in enumerate(art_rows):
-        col = n + n_slack + j
-        T[i, col] = 1.0
-        basis[i] = col
-        basis_unit_col[i] = col
+        units[i, n_slack + j] = 1.0
+        basis[i] = n + n_slack + j
+        basis_unit_col[i] = n + n_slack + j
     n_free = n + n_slack  # artificials sit at the tail and never re-enter
+    N = n_free + n_art
 
-    if n_old is None:
-        state = _FloatTableau(T, rhs, basis, tol, n)
-    else:
-        state = _FloatTableau(T, rhs, basis, tol, n, replay, n_old)
+    past = replay if n_old is not None else None
+    state = _FloatTableau(struct, units, rhs, basis, tol, past, n_old or 0)
     result = _two_phase(state, c, n, n_free, N)
     if replay is not None:
         # only a finished solve is worth following: one that stopped early
         # has no record of the steps after its stop
         lp = (c.copy(), A.copy(), senses, b.copy(), tol) if result == "optimal" else None
-        replay._lp, replay.steps, replay.snaps = lp, state.steps, state.snaps
+        replay._lp, replay.steps = lp, state.steps
+        replay.snaps, replay.starts = state.snaps, state.starts
     if result != "optimal":
         return LpResult(result, [0.0] * n, float("nan"), [0.0] * m,
                         state.pivots, state.replayed)
 
     x = [0.0] * n
+    rhs = state.T[:m, -1]
     for i, j in enumerate(state.basis):
         if j < n:
-            x[j] += state.rhs[i]
-    duals = [
-        -state.drow[basis_unit_col[i]] * row_sign[i] for i in range(m)
-    ]
-    return LpResult("optimal", x, state.objective(), duals, state.pivots, state.replayed)
+            x[j] += rhs[i]
+    z = state.z_row()
+    # a zero product of BLAS may be +0.0 where an elementwise one is -0.0, and
+    # a replay and a fresh solve form some products differently; adding 0.0
+    # turns -0.0 into 0.0 and leaves every other value as it is
+    duals = [z[basis_unit_col[i]] * row_sign[i] + 0.0 for i in range(m)]
+    return LpResult("optimal", x, state.objective() + 0.0, duals, state.pivots, state.replayed)
 
 
 def _two_phase(state, c, n, n_free, N) -> str:
@@ -197,82 +217,146 @@ def _two_phase(state, c, n, n_free, N) -> str:
 def _eliminate(T, r, piv, col, upd) -> None:
     """Divide row r by piv, then subtract col[i] * row r from every row i.
 
-    col is the pivot column with col[r] = 0.  Each product is col[i] *
-    T[r, j], as in np.outer, but written into the reused buffer upd: scaling
-    the rows of a copy of T[r] took about half the time of np.outer on a
-    71 x 506 tableau (numpy 2.4, x86-64).  Every column is updated on its own,
+    col is the pivot column with col[r] = 0.  The products col[i] * T[r, j]
+    come from one BLAS outer product (a matrix product over one term)
+    written into the reused buffer upd, so each is rounded once, as in
+    np.outer; only a zero product may come out as +0.0 where np.outer gives
+    -0.0, which no comparison or ratio can tell apart.  On a 71 x 460 block
+    the product took 23 us against 37 us for scaling a copy of T[r] row by
+    row (numpy 2.4, OpenBLAS, x86-64).  Every column is updated on its own,
     which is what lets a replay update a block of columns alone.
     """
     T[r] /= piv
-    upd[...] = T[r]
-    upd *= col[:, None]
+    np.dot(col[:, None], T[r][None, :], out=upd)
     T -= upd
 
 
+def _grown(row, j, block):
+    """The pivot row of a lean step: `row` with `block` inserted at j, lazily.
+
+    `row` is the recorded step's pivot row and j the number of structural
+    columns in its layout.  A lazy row is (base, j, blocks), the full row
+    being base[:j], the blocks, then base[j:]: every solve appends its
+    columns after the structural ones.  `_full_row` joins it when read.
+    """
+    if isinstance(row, tuple):
+        base, j, blocks = row
+        return base, j, blocks + (block,)
+    return row, j, (block,)
+
+
+def _full_row(row):
+    if isinstance(row, tuple):
+        base, j, blocks = row
+        return np.concatenate((base[:j], *blocks, base[j:]))
+    return row
+
+
 class _FloatTableau:
-    def __init__(self, T, rhs, basis, tol, n, past=None, n_old=0):
-        self.rhs = rhs
+    """The tableau [A | rhs] over [z | objective], z the negated reduced costs.
+
+    A pivot is one `_eliminate` of the whole array with the pivot column
+    (z's entry included), which updates the rows, the right-hand side, z and
+    the objective as separate vector operations would, product for product.
+    While following a record, T holds only the columns appended since, and
+    the full z row is kept apart, or in a lean phase (z is None) not kept
+    until `z_row` rebuilds it.
+    """
+
+    def __init__(self, struct, units, rhs, basis, tol, past=None, n_old=0):
+        m, n = struct.shape
+        self.m = m
         self.basis = basis
         self.tol = tol
-        self.drow = None
-        self._obj = 0.0
         self.pivots = 0
         self.replayed = 0
         self.steps = []  # this solve's record, see _END
-        self._n = n  # structural columns
         self.snaps = {}
-        # while following `past` (the previous solve's Replay), T holds only
-        # the columns appended since, at [n_old, n) of the layout; the old
-        # slack and artificial columns move right by their count
+        self.starts = {}
+        self._n = n  # structural columns
+        self._N = n + units.shape[1]
+        # while following `past` (the previous solve's Replay), the appended
+        # columns sit at [n_old, n) of the layout; the old slack and
+        # artificial columns move right by their count
         self._past = past
         self._n_old = n_old
         self._shift = n - n_old
-        if past is not None:
-            self.snaps[0] = (T[:, :n], T[:, n:])
-            T = T[:, n_old:n].copy()
+        if past is None:
+            T = np.zeros((m + 1, self._N + 1))
+            T[:m, :n] = struct
+            T[:m, n:-1] = units
+        else:
+            self.snaps[0] = (struct, units)
+            T = np.zeros((m + 1, self._shift + 1))
+            T[:m, :-1] = struct[:, n_old:]
+        T[:m, -1] = rhs
         self.T = T
         self._update = np.empty_like(T)  # rank-1 update, reused by every pivot
+        self.z = T[m, :-1] if past is None else None
+        self._lean_from = 0  # step index at which a lean phase started
 
     def set_costs(self, costs):
         # a phase starts from the full tableau, as in a fresh solve, and the
         # next solve's replay restarts the phase from this snapshot
-        snap = self._snapshot()
+        k = len(self.steps)
+        m = self.m
         T = self.T
-        if self._past is not None:
-            T = np.concatenate(snap, axis=1)
-            # keep it as two blocks: later assemblies join two, not many
-            self.snaps[len(self.steps)] = (T[:, :self._n], T[:, self._n:])
-        self.costs = costs
+        if self._past is None:
+            C = T[:m, :-1].copy()
+        else:
+            C = np.concatenate(self._snapshot(), axis=1)
+        self.snaps[k] = (C[:, :self._n], C[:, self._n:])
         cb = costs[self.basis]
-        self.drow = costs - cb @ T
-        self._obj = float(cb @ self.rhs)
+        d = costs - cb @ C
+        self.starts[k] = d
+        T[m, -1] = float(cb @ T[:m, -1].copy())
+        if self._past is None:
+            T[m, :-1] = -d
+            return
+        j, s = self._n_old, self._shift
+        T[m, :-1] = -d[j:j + s]
+        self.z = -d
+        # the old columns start as in the record: their reduced costs stay
+        # the record's, so the phase can run lean
+        start = self._past.starts.get(k)
+        if start is not None and d[:j].tobytes() == start[:j].tobytes() \
+                and d[j + s:].tobytes() == start[j:].tobytes():
+            self.z = None
+            self._lean_from = k
 
     def objective(self):
-        return self._obj
+        return self.T[self.m, -1]
+
+    def z_row(self):
+        """The full z row, rebuilt here if a lean phase left it behind: the
+        phase-start row less each step's product, in a fresh solve's order."""
+        if self.z is None:
+            k = self._lean_from
+            z = -self.starts[k]
+            for i in range(k, len(self.steps)):
+                r, e, piv, col, row = self.steps[i]
+                if col is None:
+                    continue  # the phase end
+                row = _full_row(row)
+                self.steps[i] = (r, e, piv, col, row)  # later reads skip the join
+                z -= col[-1] * row
+            self.z = z
+        return self.z
 
     def optimize(self, limit) -> str:
         """Pivot to optimality; only columns below `limit` may enter."""
-        m, N = len(self.rhs), len(self.drow)
+        m, N = self.m, self._N
         stall = 0
         bland = False
-        last_obj = self._obj
+        last_obj = self.objective()
         max_iter = 20000 + 200 * (m + N)
         for _ in range(max_iter):
-            e = self._entering(limit, bland)
-            if self._past is not None and not self._follows(e):
-                self._diverge()
-            if e is None:
-                self._append(_END)
-                return "optimal"
-            if self._past is not None:
-                self._replay_pivot()
-            else:
-                r = self._leaving(e)
-                if r is None:
-                    return "unbounded"
-                self._pivot(r, e)
-            if self._obj < last_obj - self.tol:
-                last_obj = self._obj
+            status = self._step(limit, bland)
+            if status is not None:
+                return status
+            obj = self.objective()
+            if obj < last_obj - self.tol:
+                last_obj = obj
                 stall = 0
             else:
                 stall += 1
@@ -280,25 +364,54 @@ class _FloatTableau:
                     bland = True  # degeneracy stall: switch to Bland's rule
         raise RuntimeError("simplex iteration limit exceeded")
 
+    def _step(self, limit, bland) -> str | None:
+        """Take one step; return the phase's status if the step ends it."""
+        if self.z is None:  # a lean phase
+            rec = self._past.steps[len(self.steps)]
+            if not bland and self._lean_follows(rec):
+                if rec[0] < 0:
+                    self._append(_END)
+                    return "optimal"
+                self._replay_pivot(rec)
+                return None
+            # an appended column enters here, or Bland's rule needs every
+            # column: go on from this step at full width
+            self.z_row()
+        e = self._entering(limit, bland)
+        if self._past is not None and not self._follows(e):
+            self._diverge()
+        if e is None:
+            self._append(_END)
+            return "optimal"
+        if self._past is not None:
+            self._replay_pivot(self._past.steps[len(self.steps)])
+        else:
+            r = self._leaving(e)
+            if r is None:
+                return "unbounded"
+            self._pivot(r, e)
+        return None
+
     def _entering(self, limit, bland):
-        d = self.drow[:limit]
+        # z is -(reduced cost): the most negative reduced cost is the largest z
+        z = self.z[:limit]
         if bland:
-            neg = np.flatnonzero(d < -self.tol)
-            return int(neg[0]) if len(neg) else None
-        if not len(d):
+            pos = np.flatnonzero(z > self.tol)
+            return int(pos[0]) if len(pos) else None
+        if not len(z):
             return None
-        j = int(np.argmin(d))
-        if d[j] < -self.tol:
+        j = int(z.argmax())
+        if z[j] > self.tol:
             return j
         return None
 
     def _leaving(self, e):
         # ratio test over the rows with a positive pivot entry, in row order:
         # ties within tol go to the lowest basis index
-        col = self.T[:, e]
+        col = self.T[:self.m, e]
         tol = self.tol
-        rows = np.flatnonzero(col > tol)
-        ratios = (self.rhs[rows] / col[rows]).tolist()
+        rows = (col > tol).nonzero()[0]
+        ratios = (self.T[rows, -1] / col[rows]).tolist()
         basis = self.basis
         best = None
         best_ratio = None
@@ -311,24 +424,19 @@ class _FloatTableau:
                 best, best_ratio = i, ratio
         return best
 
-    def _pivot(self, r, e):
+    def _pivot(self, r, e, costs=True):
+        """Pivot the full tableau; a drive-out pivot (costs=False) leaves z and
+        the objective alone, since the next phase sets its own."""
         T = self.T
         piv = T[r, e]
         col = T[:, e].copy()
         col[r] = 0.0
+        if not costs:
+            col[-1] = 0.0
         _eliminate(T, r, piv, col, self._update)
         self.pivots += 1
-        self._finish_pivot(r, e, piv, col, T[r].copy())
-
-    def _finish_pivot(self, r, e, piv, col, row):
-        """Right-hand side, reduced costs, objective and basis of a pivot."""
-        self.rhs[r] /= piv
-        self.rhs -= col * self.rhs[r]
-        de = self.drow[e]
-        self.drow -= de * row
-        self._obj += de * self.rhs[r]
         self.basis[r] = e
-        self._append((r, e, piv, col, row))
+        self._append((r, e, piv, col, T[r, :-1].copy() if costs else None))
 
     def drive_out_artificials(self, n_free):
         for r in range(len(self.basis)):
@@ -339,17 +447,17 @@ class _FloatTableau:
                 # an appended column precedes every recorded candidate but
                 # the old structural ones, so it is picked if it can pivot
                 if rec_r == r and (
-                    0 <= e_old < self._n_old or not np.any(np.abs(self.T[r]) > self.tol)
+                    0 <= e_old < self._n_old or not np.any(np.abs(self.T[r, :-1]) > self.tol)
                 ):
                     if e_old >= 0:
-                        self._replay_pivot()
+                        self._replay_pivot(self._past.steps[len(self.steps)], costs=False)
                     else:
                         self._append((r, -1, 0.0, None, None))
                     continue
                 self._diverge()
             cand = np.flatnonzero(np.abs(self.T[r, :n_free]) > self.tol)
             if len(cand):
-                self._pivot(r, int(cand[0]))
+                self._pivot(r, int(cand[0]), costs=False)
             else:
                 # no pivot found: the row is redundant and stays harmless
                 self._append((r, -1, 0.0, None, None))
@@ -370,11 +478,12 @@ class _FloatTableau:
         k = len(self.steps)
         snap = self.snaps.get(k)
         if snap is None:
+            m = self.m
             if self._past is None:
-                snap = (self.T[:, :self._n].copy(), self.T[:, self._n:].copy())
+                snap = (self.T[:m, :self._n].copy(), self.T[:m, self._n:-1].copy())
             else:
                 old = self._past.snaps[k]
-                snap = old[:-1] + (self.T.copy(), old[-1])
+                snap = old[:-1] + (self.T[:m, :-1].copy(), old[-1])
             self.snaps[k] = snap
         return snap
 
@@ -392,26 +501,59 @@ class _FloatTableau:
             return r == -1
         return r >= 0 and e_old >= 0 and self._new_index(e_old) == e
 
-    def _replay_pivot(self):
-        """Apply the recorded pivot here to the appended columns alone."""
-        r, e, piv, col, row = self._past.steps[len(self.steps)]
+    def _lean_follows(self, rec) -> bool:
+        """Whether the recorded step rec is the real choice in a lean phase.
+
+        The old columns' z equal the record's, so an appended column enters
+        instead only if its z is above the recorded one's, or equal to it and
+        the recorded column comes after it (as the old slack and artificial
+        columns do); at a recorded phase end, if its z is above tol.
+        """
+        z = self.T[self.m, :-1]
+        if not len(z):
+            return True
+        top = z[z.argmax()]
+        r, e, _, col, _ = rec
+        if r < 0:
+            return not top > self.tol
+        return not (top > col[-1] or (top == col[-1] and e >= self._n_old))
+
+    def _replay_pivot(self, rec, costs=True):
+        """Apply the recorded pivot rec to the appended columns alone, and
+        to the full z row unless the phase runs lean."""
+        r, e, piv, col, row = rec
         _eliminate(self.T, r, piv, col, self._update)
-        j = self._n_old
-        row = np.concatenate((row[:j], self.T[r], row[j:]))
+        if not costs:
+            row = None
+        elif self.z is None:
+            row = _grown(row, self._n_old, self.T[r, :-1].copy())
+        else:
+            row = _full_row(row)
+            j = self._n_old
+            row = np.concatenate((row[:j], self.T[r, :-1], row[j:]))
+            self.z -= col[-1] * row
+        e = self._new_index(e)
+        self.basis[r] = e
         self.replayed += 1
-        self._finish_pivot(r, self._new_index(e), piv, col, row)
+        self._append((r, e, piv, col, row))
 
     def _diverge(self):
         """Rebuild the full tableau at this step and stop following the record."""
         k = len(self.steps)
         s = max(i for i in self.snaps if i <= k)
-        T = np.concatenate(self.snaps[s], axis=1)
-        upd = np.empty_like(T)
+        C = np.concatenate(self.snaps[s], axis=1)
+        upd = np.empty_like(C)
+        m = self.m
         for r, _, piv, col, _ in self.steps[s:k]:
             if col is not None:
-                _eliminate(T, r, piv, col, upd)
+                _eliminate(C, r, piv, col[:m], upd)
+        T = np.empty((m + 1, self._N + 1))
+        T[:m, :-1] = C
+        T[:, -1] = self.T[:, -1]  # the right-hand side and objective
+        T[m, :-1] = 0.0 if self.z is None else self.z  # z is not read before a phase start
         self.T = T
-        self._update = upd
+        self._update = np.empty_like(T)
+        self.z = T[m, :-1]
         self._past = None
 
 

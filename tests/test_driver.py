@@ -1,5 +1,6 @@
 import csv
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -7,7 +8,7 @@ from lacg.instances import Instance, cost_matrix, generate_instance
 from lacg.driver import CgConfig, certify, solve
 from lacg.dssr import DssrResult
 from lacg.routes import DualSolution, make_route
-from lacg import driver, dssr, oracle
+from lacg import driver, dssr, oracle, pricing
 
 
 def test_single_customer_converges_in_one_iteration():
@@ -95,6 +96,43 @@ def test_time_limit_bounds_the_pricing_call():
     assert res.status == "time_limit" and res.iterations == 1
     assert res.trace.rows[0].dssr_iterations == 1
     assert res.certificate is None
+
+
+def test_time_limit_reaches_inside_a_search(monkeypatch):
+    # the limit passes as the first pricing call starts its second search:
+    # that search stops, and the run ends at once with time_limit
+    inst = generate_instance(105, 16, 20, "uniform_1_10")
+    clock = SimpleNamespace(now=0.0)
+    fake = SimpleNamespace(perf_counter=lambda: clock.now)
+    for module in (driver, dssr, pricing):
+        monkeypatch.setattr(module, "time", fake)
+    searches = []
+    real = dssr.solve_la_pricing
+
+    def search(*args, **kwargs):
+        searches.append(kwargs["deadline"])
+        if len(searches) == 2:
+            clock.now = 2.0
+        res = real(*args, **kwargs)
+        assert (res.route is None) == (len(searches) == 2)
+        return res
+
+    monkeypatch.setattr(dssr, "solve_la_pricing", search)
+    res = solve(inst, CgConfig(la_k=0, time_limit=1.0))
+    assert res.status == "time_limit" and res.iterations == 1 and len(searches) == 2
+    assert res.trace.rows[0].dssr_iterations == 2
+    assert res.certificate is None
+
+
+def test_iteration_log_has_the_rmp_split(caplog):
+    inst = generate_instance(3, 8, 4, "unit")
+    with caplog.at_level("DEBUG", logger="lacg.driver"):
+        res = solve(inst, CgConfig(la_k=3))
+    rec = [r for r in caplog.records if r.getMessage().startswith("iteration ")]
+    assert len(rec) == res.iterations
+    for r, row in zip(rec, res.trace.rows):
+        *_, rmp_ms, pivots, replayed = r.args
+        assert rmp_ms >= 0 and (pivots, replayed) == (row.pivots, row.replayed)
 
 
 def test_optimal_run_is_certified():

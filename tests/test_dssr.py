@@ -1,5 +1,6 @@
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,7 @@ from lacg.routes import (
 from lacg.arcs import ArcIndex, build_arc_index, compute_component_paths
 from lacg.pricing import solve_la_pricing
 from lacg.dssr import price_elementary, select_cycle
-from lacg import oracle
+from lacg import dssr, oracle, pricing
 from lacg.rmp import initial_columns, make_column, solve_rmp
 
 
@@ -124,6 +125,38 @@ def test_past_deadline_stops_after_first_iteration():
     assert is_elementary(cut.route)
     assert cut.reduced_cost == reduced_cost(cut.route, duals, cm)
     assert cut.reduced_cost >= exact.reduced_cost - 1e-9
+    assert cut.early_columns == exact.early_columns[:len(cut.early_columns)]
+
+
+def test_deadline_stops_the_second_search(monkeypatch):
+    # a deadline that passes between the first and the second search of a
+    # call: the between-iteration check lets the call go on, the second
+    # search stops at its first expansion, and the call returns the first
+    # search's trim, inexact
+    inst, cm, sets, table = _setup(105, 16, 20, 5, "uniform_1_10")
+    duals = solve_rmp(initial_columns(inst, cm), inst.n, inst.fleet).duals
+    exact = price_elementary(inst, sets, table, duals)
+    assert exact.iterations > 1
+    clock = SimpleNamespace(now=0.0)
+    fake = SimpleNamespace(perf_counter=lambda: clock.now)
+    monkeypatch.setattr(dssr, "time", fake)
+    monkeypatch.setattr(pricing, "time", fake)
+    deadlines = []
+    real = dssr.solve_la_pricing
+
+    def search(*args, **kwargs):
+        deadlines.append(kwargs["deadline"])
+        if len(deadlines) == 2:
+            clock.now = 2.0
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dssr, "solve_la_pricing", search)
+    cut = price_elementary(inst, sets, table, duals, deadline=1.0)
+    assert deadlines == [None, 1.0]  # the first search runs without one
+    assert not cut.exact and cut.iterations == 2 and len(cut.log) == 1
+    assert cut.nodes_expanded == exact.log[0].nodes_expanded
+    assert is_elementary(cut.route)
+    assert cut.reduced_cost == reduced_cost(cut.route, duals, cm)
     assert cut.early_columns == exact.early_columns[:len(cut.early_columns)]
 
 

@@ -1,9 +1,11 @@
 import random
 
+import numpy as np
+
 from lacg import driver
 from lacg.instances import generate_instance, cost_matrix
 from lacg.routes import make_route
-from lacg.rmp import Column, make_column, initial_columns, solve_rmp, lagrangian_bound
+from lacg.rmp import Column, Master, make_column, initial_columns, solve_rmp, lagrangian_bound
 
 
 def _col(seq, cost, inst):
@@ -133,3 +135,51 @@ def test_cg_run_replays_fresh_duals(monkeypatch):
             == repr((fresh.objective, fresh.theta, sorted(fresh.duals.pi.items()), fresh.duals.pi0))
     assert [(r.pivots, r.replayed) for r in res.trace.rows] \
         == [(sol.pivots, sol.replayed) for _, sol in calls]
+
+
+def _bits(sol):
+    return repr((sol.status, sol.objective, sol.theta, sorted(sol.duals.pi.items()), sol.duals.pi0))
+
+
+def test_master_matches_fresh_solves():
+    # a run's column lists grow in batches; each master solve equals a fresh
+    # one bit for bit, and its cover block equals a one-shot scatter
+    rnd = random.Random(11)
+    n = 9
+    inst = generate_instance(61, n, 4, "unit")
+    c = cost_matrix(inst)
+    cols = initial_columns(inst, c)
+    master = Master(n, 4)
+    replayed = 0
+    for _ in range(12):
+        for _ in range(rnd.randint(0, 3)):
+            seq = rnd.sample(range(1, n + 1), rnd.randint(2, 4))
+            cols.append(make_column(make_route(seq, inst), c))
+        got = solve_rmp(cols, n, 4, master=master)
+        fresh = solve_rmp(cols, n, 4)
+        assert _bits(got) == _bits(fresh)
+        assert got.pivots + got.replayed == fresh.pivots
+        replayed += got.replayed
+        block = np.zeros((n + 1, len(cols)))
+        block[n] = 1.0
+        for j, col in enumerate(cols):
+            for u, k in col.cover.items():
+                block[u - 1, j] = k
+        assert master._cover.tobytes() == block.tobytes()
+        assert list(master._cost) == [col.cost for col in cols]
+    assert replayed > 0
+
+
+def test_master_runs_cold_when_an_earlier_column_changes():
+    inst = generate_instance(62, 6, 3, "unit")
+    c = cost_matrix(inst)
+    cols = initial_columns(inst, c) + [make_column(make_route([1, 2, 3], inst), c)]
+    master = Master(6, 6)
+    solve_rmp(cols, 6, 6, master=master)
+    more = cols + [make_column(make_route([4, 5], inst), c)]
+    assert solve_rmp(more, 6, 6, master=master).replayed > 0
+    # replace an earlier column, then drop one: both solve cold and match
+    for changed in ([make_column(make_route([2, 1, 3], inst), c)] + more[1:], more[:-2]):
+        got = solve_rmp(changed, 6, 6, master=master)
+        assert got.replayed == 0
+        assert _bits(got) == _bits(solve_rmp(changed, 6, 6))

@@ -253,3 +253,102 @@ def test_replay_runs_cold_when_an_earlier_column_changed():
 def test_replay_is_float_only():
     with pytest.raises(ValueError):
         solve_lp([1], [[1]], [">="], [1], exact=True, replay=Replay())
+
+
+# -- one-product elimination and lean phases ----------------------------------
+
+
+def _three_pass(T, r, piv, col):
+    """The elimination as three elementwise passes: the reference."""
+    T[r] /= piv
+    upd = np.empty_like(T)
+    upd[...] = T[r]
+    upd *= col[:, None]
+    T -= upd
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 80), st.integers(1, 700), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 0.3, 0.7]))
+def test_eliminate_matches_three_passes(m, width, seed, zeros):
+    rng = np.random.default_rng(seed)
+    T = rng.standard_normal((m, width)) * rng.choice([1e-3, 1.0, 1e3], (m, width))
+    T[rng.random((m, width)) < zeros] = 0.0
+    T[rng.random((m, width)) < zeros / 4] = -0.0
+    r = int(rng.integers(m))
+    piv = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 10.0))
+    col = rng.standard_normal(m)
+    col[rng.random(m) < zeros] = 0.0
+    col[r] = 0.0
+    want = T.copy()
+    _three_pass(want, r, piv, col)
+    got = T.copy()
+    simplex._eliminate(got, r, piv, col, np.empty_like(got))
+    # nonzero entries byte for byte; a zero may differ in its sign only
+    assert np.array_equal(got, want)
+    nz = want != 0
+    assert got[nz].tobytes() == want[nz].tobytes()
+
+
+@pytest.fixture
+def lean_steps(monkeypatch):
+    """Counts of replayed pivots that ran lean and that ran at full width."""
+    seen = {"lean": 0, "full": 0}
+    replay_pivot = simplex._FloatTableau._replay_pivot
+
+    def counted(self, rec, costs=True):
+        if costs:
+            seen["lean" if self.z is None else "full"] += 1
+        replay_pivot(self, rec, costs)
+
+    monkeypatch.setattr(simplex._FloatTableau, "_replay_pivot", counted)
+    return seen
+
+
+def test_lean_phase_engages_on_a_cover_lp(lean_steps):
+    # phase 1 of an integral cover LP starts as recorded, so a solve that
+    # appends a column replays it lean, and still equals a fresh solve
+    columns = [(3.0, [int(i == j) for i in range(5)]) for j in range(5)]
+    columns += [(4.0, [1, 1, 0, 0, 0]), (4.5, [0, 0, 1, 1, 0]), (2.5, [0, 1, 0, 0, 1])]
+    replay = Replay()
+    solve_lp(*_cover_lp(columns, 5, 3), replay=replay)
+    lp = _cover_lp(columns + [(9.0, [1, 0, 0, 0, 1])], 5, 3)
+    got = solve_lp(*lp, replay=replay)
+    assert lean_steps["lean"] > 0
+    _same(got, solve_lp(*lp))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(2, 6), st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=5))
+def test_replay_matches_fresh_solves_on_float_data(m, seeds):
+    # fractional costs, coefficients and right-hand sides: no phase start is
+    # exact, whether or not it repeats the record's bytes
+    replay = Replay()
+    c, A = [], [[] for _ in range(m)]
+    b = list(np.random.default_rng(seeds[0]).uniform(0.5, 2.0, m))
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        for _ in range(int(rng.integers(1, 4))):
+            c.append(float(rng.uniform(0.5, 3.0)))
+            for i in range(m):
+                A[i].append(float(rng.choice([0.0, rng.uniform(0.1, 1.7)])))
+        lp = (c, A + [[1.0] * len(c)], [">="] * m + ["<="], b + [float(m)])
+        got = solve_lp(*lp, replay=replay)
+        want = solve_lp(*lp)
+        if want.status == "optimal":
+            _same(got, want)
+
+
+def test_replay_without_a_matching_phase_start_runs_full_width(lean_steps):
+    # the same LP with the record's phase-1 start row changed in its last
+    # bit: the guard keeps the phase at full width, with the same result
+    columns = [(3.0, [int(i == j) for i in range(5)]) for j in range(5)]
+    columns += [(4.0, [1, 1, 0, 0, 0]), (4.5, [0, 0, 1, 1, 0]), (2.5, [0, 1, 0, 0, 1])]
+    replay = Replay()
+    solve_lp(*_cover_lp(columns, 5, 3), replay=replay)
+    start = replay.starts[0]
+    start[0] = np.nextafter(start[0], np.inf)
+    lp = _cover_lp(columns + [(9.0, [1, 0, 0, 0, 1])], 5, 3)
+    got = solve_lp(*lp, replay=replay)
+    assert got.replayed > 0 and lean_steps["lean"] == 0 and lean_steps["full"] > 0
+    _same(got, solve_lp(*lp))
