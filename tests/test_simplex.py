@@ -339,15 +339,18 @@ def test_replay_matches_fresh_solves_on_float_data(m, seeds):
             _same(got, want)
 
 
-def test_replay_without_a_matching_phase_start_runs_full_width(lean_steps):
-    # the same LP with the record's phase-1 start row changed in its last
-    # bit: the guard keeps the phase at full width, with the same result
+@pytest.mark.parametrize("where", [0, -1])
+def test_replay_without_a_matching_phase_start_runs_full_width(lean_steps, where):
+    # the record's phase-1 start row changed in its last bit, under an old
+    # structural column (0) or an old artificial one (-1), which the
+    # appended columns shift: the guard keeps the phase at full width, with
+    # the same result
     columns = [(3.0, [int(i == j) for i in range(5)]) for j in range(5)]
     columns += [(4.0, [1, 1, 0, 0, 0]), (4.5, [0, 0, 1, 1, 0]), (2.5, [0, 1, 0, 0, 1])]
     replay = Replay()
     solve_lp(*_cover_lp(columns, 5, 3), replay=replay)
     start = replay.starts[0]
-    start[0] = np.nextafter(start[0], np.inf)
+    start[where] = np.nextafter(start[where], np.inf)
     lp = _cover_lp(columns + [(9.0, [1, 0, 0, 0, 1])], 5, 3)
     got = solve_lp(*lp, replay=replay)
     assert got.replayed > 0 and lean_steps["lean"] == 0 and lean_steps["full"] > 0
