@@ -290,6 +290,11 @@ def test_eliminate_matches_three_passes(m, width, seed, zeros):
     assert got[nz].tobytes() == want[nz].tobytes()
 
 
+# singletons plus three pairs over five rows: an integral cover LP
+_COVER5 = [(3.0, [int(i == j) for i in range(5)]) for j in range(5)] + [
+    (4.0, [1, 1, 0, 0, 0]), (4.5, [0, 0, 1, 1, 0]), (2.5, [0, 1, 0, 0, 1])]
+
+
 @pytest.fixture
 def lean_steps(monkeypatch):
     """Counts of replayed pivots that ran lean and that ran at full width."""
@@ -308,11 +313,9 @@ def lean_steps(monkeypatch):
 def test_lean_phase_engages_on_a_cover_lp(lean_steps):
     # phase 1 of an integral cover LP starts as recorded, so a solve that
     # appends a column replays it lean, and still equals a fresh solve
-    columns = [(3.0, [int(i == j) for i in range(5)]) for j in range(5)]
-    columns += [(4.0, [1, 1, 0, 0, 0]), (4.5, [0, 0, 1, 1, 0]), (2.5, [0, 1, 0, 0, 1])]
     replay = Replay()
-    solve_lp(*_cover_lp(columns, 5, 3), replay=replay)
-    lp = _cover_lp(columns + [(9.0, [1, 0, 0, 0, 1])], 5, 3)
+    solve_lp(*_cover_lp(_COVER5, 5, 3), replay=replay)
+    lp = _cover_lp(_COVER5 + [(9.0, [1, 0, 0, 0, 1])], 5, 3)
     got = solve_lp(*lp, replay=replay)
     assert lean_steps["lean"] > 0
     _same(got, solve_lp(*lp))
@@ -322,7 +325,8 @@ def test_lean_phase_engages_on_a_cover_lp(lean_steps):
 @given(st.integers(2, 6), st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=5))
 def test_replay_matches_fresh_solves_on_float_data(m, seeds):
     # fractional costs, coefficients and right-hand sides: no phase start is
-    # exact, whether or not it repeats the record's bytes
+    # exact by construction, so phases run lean where their start repeats
+    # the record's bytes and at full width where it does not
     replay = Replay()
     c, A = [], [[] for _ in range(m)]
     b = list(np.random.default_rng(seeds[0]).uniform(0.5, 2.0, m))
@@ -345,13 +349,11 @@ def test_replay_without_a_matching_phase_start_runs_full_width(lean_steps, where
     # structural column (0) or an old artificial one (-1), which the
     # appended columns shift: the guard keeps the phase at full width, with
     # the same result
-    columns = [(3.0, [int(i == j) for i in range(5)]) for j in range(5)]
-    columns += [(4.0, [1, 1, 0, 0, 0]), (4.5, [0, 0, 1, 1, 0]), (2.5, [0, 1, 0, 0, 1])]
     replay = Replay()
-    solve_lp(*_cover_lp(columns, 5, 3), replay=replay)
+    solve_lp(*_cover_lp(_COVER5, 5, 3), replay=replay)
     start = replay.starts[0]
     start[where] = np.nextafter(start[where], np.inf)
-    lp = _cover_lp(columns + [(9.0, [1, 0, 0, 0, 1])], 5, 3)
+    lp = _cover_lp(_COVER5 + [(9.0, [1, 0, 0, 0, 1])], 5, 3)
     got = solve_lp(*lp, replay=replay)
     assert got.replayed > 0 and lean_steps["lean"] == 0 and lean_steps["full"] > 0
     _same(got, solve_lp(*lp))
