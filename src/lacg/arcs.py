@@ -23,17 +23,19 @@ every (subset, member) pair of those owners, one per table:
                    min over w of head(S, w) + c(w, t).
 
 Each minimum runs over the members of S only, and the member minimized over
-(y, v or w) leads the candidate array, so the minimum, its first argument
-and the arc layer's tie count are passes over slabs.  The first minimum
-wins, so among equal-cost paths seg and head keep the lexicographically
-smallest; tied arc candidates end at different w, so the arc layer compares
-their paths.  Every owner sums the same costs in the same order, so a
-subset's seg costs agree across owners bit for bit.  Subsets whose demand
-cannot fit in a vehicle alongside u are skipped: such arcs could never
-appear in a feasible route.  u's arcs form one grid of targets x subsets
-(see ComponentPathTable): table row t * subsets + j is grid cell (t, j), so
-the rows toward one target are contiguous and sorted by demand.  Every
-per-row subset test (M1 filters, carried memories, decode) runs on the
+(y, v or w) leads the candidate array.  seg and head keep member cells only,
+indexed by member rank (a member's position among S's members): seg(S, v, .)
+reads the (s - 1) x (s - 1) block of S - v.  The first argument of a minimum
+is found by counting each cell's leading misses and gathering once.  The
+first minimum wins, so among equal-cost paths seg and head keep the
+lexicographically smallest; tied arc candidates end at different w, so the
+arc layer compares their paths.  Every owner sums the same costs in the same
+order, so a subset's seg costs agree across owners bit for bit.  Subsets
+whose demand cannot fit in a vehicle alongside u are skipped: such arcs
+could never appear in a feasible route.  u's arcs form one grid of targets x
+subsets (see ComponentPathTable): table row t * subsets + j is grid cell
+(t, j), so the rows toward one target are contiguous and sorted by demand.
+Every per-row subset test (M1 filters, carried memories, decode) runs on the
 subsets' la(u)-local bits.
 
 ArcIndex owns the dual-dependent view used by one pricing call.  It holds
@@ -92,11 +94,19 @@ class LaArc:
 
 def _first(hit: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Per cell (p, x), idx[p, j] of the first j with hit[j, p, x]; hit is
-    (q, P, K) with a True in every cell, and each j is one slab pass."""
-    got = np.empty(hit.shape[1:], dtype=idx.dtype)
-    for j in range(len(hit) - 1, -1, -1):
-        np.copyto(got, idx[:, j, None], where=hit[j])
-    return got
+    (q, P, K), q <= MAX_LA_SIZE, with a True in every cell.  j is the number
+    of the cell's leading misses, counted with a running OR."""
+    seen = hit[0].copy()
+    j = np.zeros(seen.shape, dtype=np.uint8)
+    for h in hit[1:]:
+        j += ~seen
+        seen |= h
+    return np.take_along_axis(idx, j, axis=1)
+
+
+def _rank(local: int, j: int) -> int:
+    """Member rank of local index j in la-local bits `local`."""
+    return (local & ((1 << j) - 1)).bit_count()
 
 
 class ComponentPathTable:
@@ -105,12 +115,16 @@ class ComponentPathTable:
     Per owner u, with k = |la(u)|, subset ids i and local indices v, w:
       _pos[u]         (2**k,) subset id of each local mask, -1 if infeasible;
                       ids run by size, then in itertools.combinations order
-      _seg_cost[u]    (subsets, k, k) seg(i, v, w); +inf where v or w is not a
-                      member, or v == w in a subset of two or more
-      _seg_next[u]    int8, the customer after v on that path
-      _head_cost[u]   (subsets, k + 1) head(i, w); column k is u itself, which
-                      only the empty subset reaches, at cost 0
-      _head_first[u]  int8, the customer after u on that path
+      _size_start[u]  per subset size s, the id of u's first subset of size s
+    The DP layers hold member cells only, one array per subset size s: the
+    subset of id i is row i - _size_start[u][s], and a member is indexed by
+    its rank r, its position among the subset's members:
+      _seg_cost[u][s]    (rows, s, s) seg(i, r_v, r_w); +inf where v == w in a
+                         subset of two or more
+      _seg_next[u][s]    int8, the local index of the customer after v
+      _head_cost[u][s]   (rows, s) head(i, r_w); the empty subset's only end
+                         is u itself, at cost 0, and is not stored
+      _head_first[u][s]  int8, the local index of the customer after u
       _subset_indicator[u]  (subsets, max(1, k)) member bits, by subset id
 
     u's arcs form one grid of targets x subsets, targets in ascending id
@@ -123,7 +137,8 @@ class ComponentPathTable:
       _arc_wstar[u]   its last customer before the target
 
     _build runs the owners with la sets of one size together: an owner's DP
-    tables and subset arrays are slices of arrays stacked over those owners.
+    layers and subset arrays are slices of arrays stacked over those owners
+    (an owner's subsets of one size have consecutive ids).
     Its arc grid is a view of _arc_cells, every owner's grid raveled, in
     customer order; ArcIndex gathers the fitting rows from there.
     """
@@ -142,10 +157,11 @@ class ComponentPathTable:
         self._la_pos = {u: {w: 1 << j for j, w in enumerate(sets.la(u))}
                         for u in inst.customers}
         self._pos: dict[int, np.ndarray] = {}
-        self._seg_cost: dict[int, np.ndarray] = {}
-        self._seg_next: dict[int, np.ndarray] = {}
-        self._head_cost: dict[int, np.ndarray] = {}
-        self._head_first: dict[int, np.ndarray] = {}
+        self._size_start: dict[int, list[int]] = {}
+        self._seg_cost: dict[int, list[np.ndarray]] = {}
+        self._seg_next: dict[int, list[np.ndarray]] = {}
+        self._head_cost: dict[int, list[np.ndarray]] = {}
+        self._head_first: dict[int, list[np.ndarray]] = {}
         self._subset_indicator: dict[int, np.ndarray] = {}
         self._sub_id: dict[int, np.ndarray] = {}
         self._sub_zd: dict[int, np.ndarray] = {}
@@ -241,63 +257,74 @@ class ComponentPathTable:
         c_la = m[la[:, :, None], la[:, None, :]]
         c_u = m[us[:, None], la]
         c_out = m[la[:, :, None], t_idx[:, None, :]]
-        # cells of non-members stay +inf with next 0
-        seg = np.full((len(local), k, k), np.inf)
-        nxt = np.zeros(seg.shape, dtype=np.int8)
-        head = np.full((len(local), k + 1), np.inf)
-        first = np.zeros(head.shape, dtype=np.int8)
-        head[off, k] = 0.0
+        # the layers of size s stack that size's subsets owner by owner:
+        # subset g of the stack is row at[g] there
+        sz = size[local]
+        n_s = np.bincount(sz)
+        by_size = np.argsort(sz, kind="stable")
+        at = np.empty(len(local), dtype=np.intp)
+        at[by_size] = np.arange(len(local)) - (np.cumsum(n_s) - n_s)[sz[by_size]]
+        seg = [np.full((c, s, s), np.inf) for s, c in enumerate(n_s)]  # v == w stays +inf
+        nxt = [np.zeros(a.shape, dtype=np.int8) for a in seg]
+        head = [np.empty((c, s)) for s, c in enumerate(n_s)]
+        first = [np.empty(a.shape, dtype=np.int8) for a in head]
         # arcs by subset; an empty subset's only end is its owner
         cost = np.empty((len(local), n_t))
         wstar = np.empty(cost.shape, dtype=np.int32)
         cost[off] = m[us[:, None], t_idx]
         wstar[off] = us[:, None]
+        # per owner and size: its subsets there, its first row and first id
+        cnt = np.bincount(o_of * len(n_s) + sz, minlength=n_o * len(n_s)).reshape(n_o, -1)
+        row0 = np.cumsum(cnt, axis=0) - cnt
+        id0 = np.cumsum(cnt, axis=1) - cnt
         for i, u in enumerate(owners):  # decode reads these while ties are broken
-            sl = slice(off[i], off[i] + n_sub[i])
+            sizes = range(np.count_nonzero(cnt[i]))  # fitting subsets are closed under removal
             self._pos[u] = pos[i]
-            self._seg_cost[u], self._seg_next[u] = seg[sl], nxt[sl]
-            self._head_cost[u], self._head_first[u] = head[sl], first[sl]
+            self._size_start[u] = id0[i, sizes].tolist()
+            for store, layers in ((self._seg_cost, seg), (self._seg_next, nxt),
+                                  (self._head_cost, head), (self._head_first, first)):
+                store[u] = [layers[s][row0[i, s]:row0[i, s] + cnt[i, s]] for s in sizes]
         # layers (block, size): subsets ordered by block, then size
-        key = (off // max(1, _BLOCK_CELLS // n_t))[o_of] * (k + 1) + size[local]
+        key = (off // max(1, _BLOCK_CELLS // n_t))[o_of] * (k + 1) + sz
         by_key = np.argsort(key, kind="stable")
         starts = np.searchsorted(key[by_key], np.arange(key.max() + 2))
         # candidates lead with the member minimized over, so each minimum is
-        # over slabs; seg_rows[g * k + v] is seg(g, v, .)
-        seg_rows = seg.reshape(len(local) * k, k)
-        nxt_rows = nxt.reshape(seg_rows.shape)
+        # over slabs
         for layer in range(len(starts) - 1):
             g = by_key[starts[layer]:starts[layer + 1]]
             s = layer % (k + 1)
             if s == 0 or not len(g):  # the empty subsets, or past the largest size that fits
                 continue
             o = o_of[g]
+            rows = slice(at[g[0]], at[g[-1]] + 1)
             mem = np.nonzero(members[local[g]])[1].reshape(-1, s)  # ascending
             if s == 1:
-                seg[g, mem[:, 0], mem[:, 0]] = 0.0
+                seg[1][rows] = 0.0
             else:
-                # seg over every (subset, member v) pair: the other members
-                # y lead, then w
+                # seg over every (subset, member v) pair from the block of
+                # S - v: the other members y lead, then w
                 y = mem[:, np.nonzero(~np.eye(s, dtype=bool))[1]].reshape(-1, s - 1).T
                 v = mem.ravel()
                 ov = np.repeat(o, s)
-                prev = off[ov] + pos[ov, (local[g, None] ^ (1 << mem)).ravel()]
-                cand = c_la[ov, v, y][:, :, None] + seg_rows[prev * k + y]
+                prev = at[off[ov] + pos[ov, (local[g, None] ^ (1 << mem)).ravel()]]
+                cand = c_la[ov, v, y][:, :, None] + seg[s - 1][prev].transpose(1, 0, 2)
                 low = cand.min(axis=0)
-                at = np.repeat(g * k, s) + v
-                seg_rows[at] = low
-                nxt_rows[at] = np.where(low < np.inf, _first(cand == low, y.T), 0)
+                # row v of an s x s block, less its diagonal cell, is w in S - v
+                offd = np.flatnonzero(~np.eye(s, dtype=bool))
+                seg[s].reshape(-1, s * s)[rows, offd] = low.reshape(len(g), -1)
+                nxt[s].reshape(-1, s * s)[rows, offd] = _first(cand == low, y.T).reshape(len(g), -1)
             # head: the first member v leads
-            cand = c_u[o, mem.T][:, :, None] + seg_rows[g * k + mem.T]
-            low = head[g, :k] = cand.min(axis=0)
-            first[g, :k] = np.where(low < np.inf, _first(cand == low, mem), 0)
+            cand = c_u[o, mem.T][:, :, None] + seg[s][rows].transpose(1, 0, 2)
+            low = head[s][rows] = cand.min(axis=0)
+            first[s][rows] = _first(cand == low, mem)
             # arcs: the last member w leads, then target; equal-cost ends
             # are told apart by their paths
-            cand = c_out[o, mem.T] + np.take_along_axis(low, mem, axis=1).T[:, :, None]
+            cand = c_out[o, mem.T] + low.T[:, :, None]
             low = cost[g] = cand.min(axis=0)
             ends = la[o[:, None], mem]
             hit = cand == low
             w = _first(hit, ends)
-            for i, t in zip(*np.nonzero(hit.sum(axis=0) > 1)):
+            for i, t in zip(*np.nonzero(hit.sum(axis=0, dtype=np.uint8) > 1)):
                 u, lm = owners[o[i]], int(local[g[i]])
                 w[i, t] = min(ends[i, hit[:, i, t]],
                               key=lambda x: self._head_path(u, lm, int(x)))
@@ -344,15 +371,20 @@ class ComponentPathTable:
         """Local index of w in la(u); for u itself, len(la(u))."""
         return len(self.sets.la(u)) if w == u else self._la_pos[u][w].bit_length() - 1
 
+    def _layer_row(self, u: int, local: int) -> tuple[int, int]:
+        """Size of la(u)-local bits `local` and their row in u's layers of that size."""
+        s = local.bit_count()
+        return s, int(self._pos[u][local]) - self._size_start[u][s]
+
     def _seg_path(self, u: int, local: int, v: int, w: int) -> tuple[int, ...]:
         """Customers of the cheapest path over la(u)-local bits `local` from
         local index v to local index w."""
         nbrs = self.sets.la(u)
-        pos = self._pos[u]
         nxt = self._seg_next[u]
         path = [nbrs[v]]
         while local & (local - 1):
-            y = int(nxt[pos[local], v, w])
+            s, r = self._layer_row(u, local)
+            y = int(nxt[s][r, _rank(local, v), _rank(local, w)])
             local ^= 1 << v
             v = y
             path.append(nbrs[v])
@@ -363,30 +395,50 @@ class ComponentPathTable:
         if not local:
             return (u,)
         j = self._index(u, w)
-        v = int(self._head_first[u][self._pos[u][local], j])
+        s, r = self._layer_row(u, local)
+        v = int(self._head_first[u][s][r, _rank(local, j)])
         return (u,) + self._seg_path(u, local, v, j)
+
+    @staticmethod
+    def _require(mask: int, *customers: int) -> None:
+        """KeyError unless every customer is in the global mask."""
+        if any(not mask & bit(c) for c in customers):
+            raise KeyError((mask, customers))
 
     def inner_cost(self, subset, v: int, w: int) -> float:
         mask = subset if isinstance(subset, int) else mask_of(subset)
-        u, i = self._owner(mask)
-        return float(self._seg_cost[u][i, self._index(u, v), self._index(u, w)])
+        self._require(mask, v, w)
+        u, _ = self._owner(mask)
+        local = self.to_local(u, mask)
+        s, r = self._layer_row(u, local)
+        return float(self._seg_cost[u][s][r, _rank(local, self._index(u, v)),
+                                          _rank(local, self._index(u, w))])
 
     def inner_path(self, subset, v: int, w: int) -> tuple[int, ...]:
         mask = subset if isinstance(subset, int) else mask_of(subset)
+        self._require(mask, v, w)
         u, _ = self._owner(mask)
         return self._seg_path(u, self.to_local(u, mask), self._index(u, v), self._index(u, w))
 
     def start_cost(self, u: int, subset, w: int) -> float:
+        """Cost of the cheapest path from u over `subset` ending at its member
+        w, or at u itself if the subset is empty."""
         mask = subset if isinstance(subset, int) else mask_of(subset)
-        i = self._subset_id(u, mask)
-        if i < 0:
+        if self._subset_id(u, mask) < 0:
             raise KeyError(mask)
-        return float(self._head_cost[u][i, self._index(u, w)])
+        if not mask:
+            self._require(bit(u), w)
+            return 0.0
+        self._require(mask, w)
+        local = self.to_local(u, mask)
+        s, r = self._layer_row(u, local)
+        return float(self._head_cost[u][s][r, _rank(local, self._index(u, w))])
 
     def start_path(self, u: int, subset, w: int) -> tuple[int, ...]:
         mask = subset if isinstance(subset, int) else mask_of(subset)
         if self._subset_id(u, mask) < 0:
             raise KeyError(mask)
+        self._require(mask or bit(u), w)
         return self._head_path(u, self.to_local(u, mask), w)
 
     def subset_masks(self, u: int) -> list[int]:

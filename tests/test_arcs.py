@@ -194,7 +194,6 @@ def test_table_matches_enumeration(drawn):
                     for combo in itertools.combinations(nbrs, size)
                     if inst.demand[u] + sum(inst.demand[w] for w in combo) <= inst.capacity]
         assert table.subset_masks(u) == [mask_of(combo) for combo in feasible]
-        at = {w: j for j, w in enumerate(nbrs)}
         for i, combo in enumerate(feasible):
             mask = mask_of(combo)
             for v in list(inst.customers) + [END_DEPOT]:
@@ -206,8 +205,9 @@ def test_table_matches_enumeration(drawn):
                 assert path[0] == u and path[-1] == v and sorted(path[1:-1]) == list(combo)
                 assert length(path) == pytest.approx(table.arc_cost(u, v, mask), abs=1e-9)
             # every owner holds its own inner costs; they agree bit for bit
+            row = i - table._size_start[u][len(combo)]
             for v, w in itertools.permutations(combo, 2):
-                got = table._seg_cost[u][i, at[v], at[w]]
+                got = table._seg_cost[u][len(combo)][row, combo.index(v), combo.index(w)]
                 assert seen.setdefault((mask, v, w), got) == got
                 assert table.inner_cost(mask, v, w) == got
 
@@ -218,11 +218,12 @@ def test_inner_costs_u_independent():
     inst, cm, sets, table = _table(30, 7, 7, 4)
     seen = {}
     for u in inst.customers:
-        at = {w: j for j, w in enumerate(sets.la(u))}
         for i, mask in enumerate(table.subset_masks(u)):
             if mask.bit_count() < 2:
                 continue
             members = [w for w in inst.customers if mask & bit(w)]
+            s = len(members)
+            row = i - table._size_start[u][s]
             for v in members:
                 for w in members:
                     if v == w:
@@ -234,7 +235,7 @@ def test_inner_costs_u_independent():
                     )
                     key = (mask, v, w)
                     # owner u's own DP value, not the one inner_cost looks up
-                    got = table._seg_cost[u][i, at[v], at[w]]
+                    got = table._seg_cost[u][s][row, members.index(v), members.index(w)]
                     assert got == pytest.approx(best, abs=1e-9)
                     assert table.inner_cost(mask, v, w) == got
                     if key in seen:
@@ -258,8 +259,14 @@ def test_mixed_la_sizes_match_uniform_tables():
                      "_subset_indicator", "_sub_id", "_sub_zd", "_sub_local", "_targets",
                      "_arc_cost", "_arc_wstar"):
             got, want = getattr(table, name)[u], getattr(ref, name)[u]
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+            if isinstance(want, list):  # DP layers, one per subset size
+                assert len(got) == len(want)
+            else:
+                got, want = [got], [want]
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
+        assert table._size_start[u] == ref._size_start[u]
         assert np.shares_memory(table._arc_cost[u], table._arc_cells)
     cells = np.concatenate([table._arc_cost[u].ravel() for u in inst.customers])
     assert table._arc_cells.tobytes() == cells.tobytes()
