@@ -138,24 +138,25 @@ def test_arc_rows_pinned(seed, n, cap, mode, k, digest):
 
 @pytest.mark.parametrize("seed,n,cap,mode,k,digest", [
     (105, 16, 20, "uniform_1_10", 5,
-     "1108c6b1cfb5dfacd799056e60c2fdab677690eae6db6c235aac89148f5a53a1"),
+     "79a36b9295d9ad45a481c7a9750495d0446bba79f58ebf10400fb047a8584bca"),
     (3, 66, 3, "unit", 5,  # ids past 63; capacity stops the DP at size 2
-     "6a0c236b8821cd5ff4ed49929f2e250c2f6cea9e8c5c6607ab9aafc230ff8f35"),
+     "b8d24b231146741bfc1ffe72e0b5902c04cde27cf04db4708e79aff9954b815e"),
     (105, 30, 20, "uniform_1_10", 10,
-     "52c83d5e873fcf80c79101414b135a62de620f3d032bafbf2f8214b369a7da5e"),
+     "68a5fdca92fb7674b8cca4d12696f79faeacbc4a40f9508a826d9f31ff44496a"),
 ], ids=["105-16-20-la5", "3-66-3-la5", "105-30-20-la10"])
 def test_subset_dp_pinned(seed, n, cap, mode, k, digest):
-    # decode reads seg and head through _head_path, so the DP layers are
-    # pinned with the arc grids, each with its dtype and shape
+    # decode reads seg and head through _head_path, so the DP layers (one
+    # array per subset size) are pinned with the arc grids, each with its
+    # dtype and shape
     inst, cm, sets, table = _table(seed, n, cap, k, mode)
     h = hashlib.sha256()
     for u in inst.customers:
         for store in (table._pos, table._seg_cost, table._seg_next, table._head_cost,
                       table._head_first, table._sub_id, table._sub_zd, table._sub_local,
                       table._arc_cost, table._arc_wstar):
-            a = store[u]
-            h.update(f"{a.dtype.str}{a.shape}".encode())
-            h.update(a.tobytes())
+            for a in store[u] if isinstance(store[u], list) else [store[u]]:
+                h.update(f"{a.dtype.str}{a.shape}".encode())
+                h.update(a.tobytes())
     assert h.hexdigest() == digest
 
 
