@@ -6,11 +6,12 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lacg.instances import Instance, generate_instance, cost_matrix, END_DEPOT
 from lacg.neighbors import NeighborSets, build_la_neighbors, augment_ng, mask_of, bit
 from lacg.routes import DualSolution
-from lacg.arcs import LaSizeError, compute_component_paths, build_arc_index
+from lacg.arcs import LaSizeError, MAX_LA_SIZE, _first, compute_component_paths, build_arc_index
 from lacg.oracle import arcs_for, lowest_rc_arc
 
 
@@ -19,6 +20,36 @@ def _table(seed, n, cap, k, mode="unit"):
     cm = cost_matrix(inst)
     sets = build_la_neighbors(inst, k, cm)
     return inst, cm, sets, compute_component_paths(inst, sets, cm)
+
+
+def _first_masked(hit, idx):
+    # one masked copy per slab, from the last j to the first
+    got = np.empty(hit.shape[1:], dtype=idx.dtype)
+    for j in range(len(hit) - 1, -1, -1):
+        np.copyto(got, idx[:, j, None], where=hit[j])
+    return got
+
+
+@st.composite
+def _hits(draw):
+    q = draw(st.integers(1, MAX_LA_SIZE))
+    p, k = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    hit = draw(hnp.arrays(bool, (q, p, k)))
+    # a True in every cell: cells without one get it at a drawn j
+    last = draw(hnp.arrays(np.intp, (p, k), elements=st.integers(0, q - 1)))
+    none = ~hit.any(axis=0)
+    hit[last[none], np.nonzero(none)[0], np.nonzero(none)[1]] = True
+    idx = draw(hnp.arrays(np.int8, (p, q)))
+    return hit, idx
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_hits())
+def test_first_matches_masked_copy(drawn):
+    hit, idx = drawn
+    got = _first(hit, idx)
+    want = _first_masked(hit, idx)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_collinear_inner_path():
@@ -111,6 +142,52 @@ def test_arc_paths_elementary_and_consistent():
                              for p in itertools.permutations(members)}
                     best = min(costs.values())
                     assert path[1:-1] == min(p for p, c in costs.items() if c <= best + 1e-9)
+
+
+def test_lookups_match_brute_force():
+    # capacity 20 with demands 1..10: subsets reach four and five members,
+    # so member ranks differ from local indices; ids pass 63
+    inst, cm, sets, table = _table(1, 66, 20, 5, "uniform_1_10")
+
+    def length(path):
+        return sum(cm.cost(a, b) for a, b in zip(path, path[1:]))
+
+    sizes = set()
+    for u in inst.customers:
+        for mask in table.subset_masks(u):
+            members = [w for w in sets.la(u) if mask & bit(w)]
+            sizes.add(len(members))
+            if not members:
+                assert table.start_cost(u, mask, u) == 0.0
+                assert table.start_path(u, mask, u) == (u,)
+                continue
+            best = {}  # (first, last) -> least length over orders of S
+            for p in itertools.permutations(members):
+                key = (p[0], p[-1])
+                best[key] = min(best.get(key, math.inf), length(p))
+            for v, w in itertools.product(members, repeat=2):
+                if v == w and len(members) > 1:
+                    assert table.inner_cost(mask, v, w) == math.inf
+                    continue
+                assert table.inner_cost(mask, v, w) == pytest.approx(best[v, w], abs=1e-9)
+                path = table.inner_path(mask, v, w)
+                assert (path[0], path[-1]) == (v, w) and sorted(path) == members
+                assert length(path) == pytest.approx(best[v, w], abs=1e-9)
+            for w in members:
+                want = min(cm.cost(u, v) + c for (v, last), c in best.items() if last == w)
+                assert table.start_cost(u, mask, w) == pytest.approx(want, abs=1e-9)
+                path = table.start_path(u, mask, w)
+                assert path[0] == u and path[-1] == w and sorted(path[1:]) == members
+                assert length(path) == pytest.approx(want, abs=1e-9)
+            for v in (END_DEPOT, max(c for c in inst.customers if c not in sets.la(u) and c != u)):
+                arc = table.arc_from_row(u, table._row(u, v, mask))
+                assert arc.path[0] == u and arc.end == v and sorted(arc.intermediates) == members
+                want = min(cm.cost(u, p[0]) + length(p) + cm.cost(p[-1], v)
+                           for p in itertools.permutations(members))
+                assert length(arc.path) == pytest.approx(want, abs=1e-9)
+                assert arc.cost == pytest.approx(want, abs=1e-9)
+    assert max(sizes) >= 4
+    assert max(w for u in inst.customers for w in sets.la(u)) > 63
 
 
 @pytest.mark.parametrize("seed,n,cap,mode,k,digest", [
@@ -472,7 +549,7 @@ def test_flat_bind_duals_matches_per_owner_formula():
         fit = zd_row + need[v_row] <= inst.capacity
         pisum = table._subset_indicator[u] @ pi[list(sets.la(u))]
         cbar = (table._arc_cost[u] - pisum[table._sub_id[u]] - pi[u]).ravel()
-        assert index._cbar[u].tobytes() == cbar[fit].tobytes()
+        assert index._reduced(u).tobytes() == cbar[fit].tobytes()
         dense = np.full((inst.n + 1, inst.capacity + 1), np.inf)
         sink = np.full(inst.capacity + 1, np.inf)
         for v, zd in sorted(set(zip(v_row.tolist(), zd_row.tolist()))):
@@ -491,3 +568,39 @@ def test_flat_bind_duals_matches_per_owner_formula():
     assert dropped > 0
     assert worst < 0
     assert index.offset_rate() == max(0.0, -worst)
+
+
+def test_owners_priced_on_first_read():
+    # bind_duals prices every row up to its owner's dual; an owner's rows get
+    # that dual subtracted on their first read, and only then
+    inst, cm, sets, table = _table(3, 66, 3, 10)
+    index = build_arc_index(table, sets, inst.capacity)
+    rnd = random.Random(4)
+    duals = DualSolution(pi={u: rnd.uniform(0, 300) for u in inst.customers})
+    index.bind_duals(duals)
+    assert index.owners_priced == 0
+    pi = np.zeros(inst.n + 1)
+    for u in inst.customers:
+        pi[u] = duals.value(u)
+    need = np.array([0] + [inst.demand[v] for v in inst.customers])
+
+    def rows(u):
+        # cost - pisum of u's fitting rows, in table row order
+        fit = (table._sub_zd[u] + need[table._targets[u]][:, None] <= inst.capacity).ravel()
+        pisum = table._subset_indicator[u] @ pi[list(sets.la(u))]
+        return (table._arc_cost[u] - pisum[table._sub_id[u]]).ravel()[fit]
+
+    for u in inst.customers:  # unread: no owner's dual subtracted yet
+        assert index._cbar[u].tobytes() == rows(u).tobytes()
+    read = {}
+    for u in (66, 5, 66):
+        read[u] = index._reduced(u).copy()
+        assert read[u].tobytes() == (rows(u) - pi[u]).tobytes()
+    assert index.owners_priced == 2
+    assert index._cbar[6].tobytes() == rows(6).tobytes()
+    index.bind_duals(duals)  # the bound object again: nothing happens
+    assert index.owners_priced == 2 and index._reduced(66).tobytes() == read[66].tobytes()
+    index.bind_duals(DualSolution(pi=dict(duals.pi), pi0=duals.pi0))
+    assert index.owners_priced == 0
+    assert index._cbar[66].tobytes() == rows(66).tobytes()
+    assert index._reduced(66).tobytes() == read[66].tobytes()
