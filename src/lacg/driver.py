@@ -19,8 +19,11 @@ columns, with the result of a fresh solve.
 The trace keeps one row per iteration.  Wall times are accumulated on the
 result object and written to the run summary, never into the trace CSV, so
 identical invocations produce byte-identical trace files; the set-up's split
-(cost matrix, neighbors, arc table, index) goes to one DEBUG log line, and
-each iteration's RMP seconds and pivot split to another.
+(cost matrix, neighbors, arc table, index), the arc count and the bytes of
+the table's subset DP layers go to one DEBUG log line, and each iteration's
+pricing counters, owners whose reduced costs the pricing call read, RMP
+seconds and pivot split to another.  The trace's Lagrangian bound is the RMP
+value plus the fleet size times the (clamped) minimum reduced cost.
 """
 
 from __future__ import annotations
@@ -173,9 +176,10 @@ def solve(inst: Instance, config: CgConfig | None = None) -> CgResult:
     index = ArcIndex(table, sets, inst.capacity)
     t_index = time.perf_counter()
     setup_time = t_index - t_start
-    log.debug("%s set-up %.2f ms: cost matrix %.2f, neighbors %.2f, table %.2f, index %.2f",
-              config.arm, 1e3 * setup_time, 1e3 * (t_costs - t_start), 1e3 * (t_sets - t_costs),
-              1e3 * (t_table - t_sets), 1e3 * (t_index - t_table))
+    log.debug("%s set-up %.2f ms: cost matrix %.2f, neighbors %.2f, table %.2f, index %.2f; "
+              "%d arcs, DP layers %d bytes", config.arm, 1e3 * setup_time,
+              1e3 * (t_costs - t_start), 1e3 * (t_sets - t_costs), 1e3 * (t_table - t_sets),
+              1e3 * (t_index - t_table), table.arc_count(), table.layer_bytes)
 
     columns = initial_columns(inst, costs)
     master = Master(inst.n, inst.fleet)
@@ -209,11 +213,12 @@ def solve(inst: Instance, config: CgConfig | None = None) -> CgResult:
 
         min_rc = res.reduced_cost
         log.debug("iteration %d: rmp objective %r, min reduced cost %r, %d DSSR iterations, "
-                  "%d nodes, %d edges; rmp %.2f ms, %d pivots, %d replayed", it, sol.objective,
-                  min_rc, res.iterations, res.nodes_expanded, res.edges_relaxed,
-                  1e3 * (t1 - t0), sol.pivots, sol.replayed)
+                  "%d nodes, %d edges, %d owners priced; rmp %.2f ms, %d pivots, %d replayed",
+                  it, sol.objective, min_rc, res.iterations, res.nodes_expanded,
+                  res.edges_relaxed, index.owners_priced, 1e3 * (t1 - t0), sol.pivots,
+                  sol.replayed)
         bound = (
-            lagrangian_bound(sol.objective, min_rc, inst.n)
+            lagrangian_bound(sol.objective, min_rc, inst.fleet)
             if res.exact else float("nan")
         )
         if res.exact and min_rc >= -config.rc_stop_tol:

@@ -54,10 +54,24 @@ def make_column(route: Route, costs: CostMatrix) -> Column:
 
 
 def initial_columns(inst: Instance, costs: CostMatrix) -> list[Column]:
-    """One real single-customer route per customer; always RMP-feasible."""
-    cols = []
-    for u in inst.customers:
-        cols.append(make_column(make_route([u], inst), costs))
+    """One real single-customer route per customer.
+
+    With a fleet smaller than n those alone are infeasible, so the routes of
+    one packing of the customers in id order are added (a route closes when
+    the next customer does not fit); the RMP is then feasible whenever that
+    packing needs at most the fleet.
+    """
+    cols = [make_column(make_route([u], inst), costs) for u in inst.customers]
+    if inst.fleet < inst.n:
+        packed = [[]]
+        load = 0
+        for u in inst.customers:
+            if load + inst.demand[u] > inst.capacity:
+                packed.append([])
+                load = 0
+            packed[-1].append(u)
+            load += inst.demand[u]
+        cols += [make_column(make_route(r, inst), costs) for r in packed if len(r) > 1]
     return cols
 
 
@@ -141,9 +155,13 @@ def solve_rmp(columns: list[Column], n: int, K: int, exact: bool = False,
     return master.solve(columns, exact)
 
 
-def lagrangian_bound(rmp_obj: float, min_rc: float, n: int) -> float:
-    """RMP value plus n times the (clamped) minimum reduced cost."""
-    return rmp_obj + n * min(0.0, min_rc)
+def lagrangian_bound(rmp_obj: float, min_rc: float, fleet: int) -> float:
+    """RMP value plus the fleet size times the (clamped) minimum reduced cost.
+
+    A lower bound on the master LP: its route weights sum to at most the
+    fleet, so no solution gains more than fleet * -min_rc over the RMP.
+    """
+    return rmp_obj + fleet * min(0.0, min_rc)
 
 
 def dump_columns(columns: list[Column], theta: list[float], path) -> None:

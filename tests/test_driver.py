@@ -1,10 +1,13 @@
 import csv
+import dataclasses
 import random
 from types import SimpleNamespace
 
 import pytest
 
-from lacg.instances import Instance, cost_matrix, generate_instance
+from lacg.arcs import compute_component_paths
+from lacg.instances import Instance, cost_matrix, generate_instance, read_instance, write_instance
+from lacg.neighbors import build_la_neighbors
 from lacg.driver import CgConfig, certify, solve
 from lacg.dssr import DssrResult
 from lacg.routes import DualSolution, make_route
@@ -131,8 +134,28 @@ def test_iteration_log_has_the_rmp_split(caplog):
     rec = [r for r in caplog.records if r.getMessage().startswith("iteration ")]
     assert len(rec) == res.iterations
     for r, row in zip(rec, res.trace.rows):
-        *_, rmp_ms, pivots, replayed = r.args
+        *_, owners, rmp_ms, pivots, replayed = r.args
         assert rmp_ms >= 0 and (pivots, replayed) == (row.pivots, row.replayed)
+        assert 0 < owners <= inst.n  # each call reads some owners' reduced costs
+
+
+def test_fleet_bound_on_a_short_fleet(tmp_path):
+    # fewer vehicles than customers: the route weights sum to at most the
+    # fleet, so the RMP value plus fleet * min(0, min rc) bounds the master
+    # LP, tighter than the bound with n in place of the fleet
+    path = tmp_path / "short.txt"
+    write_instance(dataclasses.replace(generate_instance(3, 10, 4, "unit"), fleet=3), path)
+    inst = read_instance(path)
+    assert inst.fleet < inst.n
+    res = solve(inst, CgConfig(la_k=3))
+    assert res.status == "optimal" and res.certificate.holds()
+    rows = res.trace.rows
+    assert len(rows) > 1
+    for row in rows:
+        by_n = row.rmp_objective + inst.n * min(0.0, row.min_reduced_cost)
+        assert by_n <= row.lagrangian_bound <= res.objective + 1e-9
+        if row.min_reduced_cost < -1e-6:
+            assert row.lagrangian_bound > by_n
 
 
 def test_optimal_run_is_certified():
@@ -258,7 +281,13 @@ def test_setup_split_logged(caplog):
         res = solve(inst, CgConfig(la_k=3, max_iterations=1))
     rec = [r for r in caplog.records if "set-up" in r.getMessage()]
     assert len(rec) == 1 and rec[0].name == "lacg.driver" and rec[0].levelname == "DEBUG"
-    arm, total, *parts = rec[0].args
+    arm, total, *parts, arcs, layer_bytes = rec[0].args
     assert arm == "la3" and total == pytest.approx(1e3 * res.setup_time)
     assert len(parts) == 4 and all(p >= 0 for p in parts)
     assert sum(parts) == pytest.approx(total)
+    # the table's size: its arc count and the bytes of its subset DP layers
+    table = compute_component_paths(inst, build_la_neighbors(inst, 3))
+    assert arcs == table.arc_count() > 0
+    assert layer_bytes == sum(a.nbytes for store in (table._seg_cost, table._seg_next,
+                                                     table._head_cost, table._head_first)
+                              for layers in store.values() for a in layers)
