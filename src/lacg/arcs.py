@@ -48,11 +48,11 @@ index holds arc reduced costs, the per-(u, visited-memory) successor buckets
 consumed by the search, and the lazily cached groups keyed by (u, v, M1, M2,
 demand).  Binding duals prices every row up to its owner's dual and takes
 the group minima; an owner's rows get the owner's dual subtracted when the
-call first reads them, which is for a few owners per call.  Growing a customer's ng set
-invalidates exactly the cached entries that start or end at that customer.
-The index also interns the (customer, memory) labels that the search uses
-as distance rows, and each bucket caches its grown-ng entries as one list
-sorted by the least remaining capacity they fit.
+call first reads them, which is for a few owners per call.  Growing a
+customer's ng set invalidates exactly the cached entries that start or end
+at that customer.  The index also interns the (customer, memory) labels that
+the search uses as distance rows, and each bucket caches its grown-ng
+entries as one list sorted by the least remaining capacity they fit.
 """
 
 from __future__ import annotations
@@ -306,16 +306,18 @@ class ComponentPathTable:
             else:
                 # seg over every (subset, member v) pair from the block of
                 # S - v: the other members y lead, then w
-                y = mem[:, np.nonzero(~np.eye(s, dtype=bool))[1]].reshape(-1, s - 1).T
+                offd = ~np.eye(s, dtype=bool)
+                y = mem[:, np.nonzero(offd)[1]].reshape(-1, s - 1).T
                 v = mem.ravel()
                 ov = np.repeat(o, s)
                 prev = at[off[ov] + pos[ov, (local[g, None] ^ (1 << mem)).ravel()]]
                 cand = c_la[ov, v, y][:, :, None] + seg[s - 1][prev].transpose(1, 0, 2)
                 low = cand.min(axis=0)
                 # row v of an s x s block, less its diagonal cell, is w in S - v
-                offd = np.flatnonzero(~np.eye(s, dtype=bool))
+                offd = np.flatnonzero(offd)
                 seg[s].reshape(-1, s * s)[rows, offd] = low.reshape(len(g), -1)
-                nxt[s].reshape(-1, s * s)[rows, offd] = _first(cand == low, y.T).reshape(len(g), -1)
+                y_first = _first(cand == low, y.T)
+                nxt[s].reshape(-1, s * s)[rows, offd] = y_first.reshape(len(g), -1)
             # head: the first member v leads
             cand = c_u[o, mem.T][:, :, None] + seg[s][rows].transpose(1, 0, 2)
             low = head[s][rows] = cand.min(axis=0)
@@ -429,10 +431,9 @@ class ComponentPathTable:
         mask = subset if isinstance(subset, int) else mask_of(subset)
         if self._subset_id(u, mask) < 0:
             raise KeyError(mask)
+        self._require(mask or bit(u), w)
         if not mask:
-            self._require(bit(u), w)
             return 0.0
-        self._require(mask, w)
         local = self.to_local(u, mask)
         s, r = self._layer_row(u, local)
         return float(self._head_cost[u][s][r, _rank(local, self._index(u, w))])
