@@ -43,16 +43,15 @@ only the arc rows that fit a vehicle: every sink row, and the rows toward a
 customer v whose demand zd leaves room for v's (zd + demand(v) <= capacity),
 which are a prefix of v's grid row.  Any other row lands below v's demand
 and no route can traverse it; the table keeps it, so arc counts and lookups
-are unchanged.  Over the fitting rows, in one flat block built once, the
-index holds arc reduced costs, the per-(u, visited-memory) successor buckets
-consumed by the search, and the lazily cached groups keyed by (u, v, M1, M2,
-demand).  Binding duals prices every row up to its owner's dual and takes
-the group minima; an owner's rows get the owner's dual subtracted when the
-call first reads them, which is for a few owners per call.  Growing a
-customer's ng set invalidates exactly the cached entries that start or end
-at that customer.  The index also interns the (customer, memory) labels that
-the search uses as distance rows, and each bucket caches its grown-ng
-entries as one list sorted by the least remaining capacity they fit.
+are unchanged.  Over the fitting rows
+the index holds arc reduced costs (priced for all owners in one pass over a
+flat copy of those rows that the index builds once), the per-(u,
+visited-memory) successor buckets consumed by the search, and the lazily
+cached groups keyed by (u, v, M1, M2, demand).  Growing a customer's ng set
+invalidates exactly the cached entries that start or end at that customer.
+The index also interns the (customer, memory) labels that the search uses
+as distance rows, and each bucket caches its grown-ng entries as one list
+sorted by the least remaining capacity they fit.
 """
 
 from __future__ import annotations
@@ -600,7 +599,6 @@ class ArcIndex:
         self.inst = table.inst
         self._duals = None
         self._offset_rate: float | None = None
-        self.owners_priced = 0  # owners whose rows the bound duals' call has read
         self._block_h = None  # heuristic table the buckets' dense blocks are for
         self._flatten()
         self._buckets: dict[tuple[int, int], _Bucket] = {}
@@ -683,19 +681,10 @@ class ArcIndex:
         go = np.searchsorted(o, np.arange(len(owners) + 1))
         fo = np.append(self._flat_starts, len(sub))[go].tolist()
         go = go.tolist()
-        # _cbar[u]: owner u's fitting rows of the reduced-cost block, as a
-        # view; read it through _reduced(u)
+        # _cbar[u]: owner u's fitting rows of the reduced-cost block, as a view
         self._cbar = [None] + [self._flat_cbar[a:b] for a, b in zip(fo, fo[1:])]
         self._spans = [None] + list(zip(fo, go, go[1:]))
         self._owner_rows: list[_OwnerRows | None] = [None] * (self.inst.n + 1)
-        # subset sums of the duals, owner by owner; la(u) indexes the duals
-        # (an empty la set the depot's, which is 0)
-        self._pisum = np.empty(n_sub.sum())
-        self._pisums = [self._pisum[a:a + b] for a, b in zip(sub_off, n_sub)]
-        self._la_at = [np.array(table.sets.la(u) or (0,), dtype=np.intp) for u in owners]
-        self._dense_at = np.ravel_multi_index(
-            self._grp_at, (self.inst.n + 1, self.inst.n + 1, self.d0 + 1))
-        self._depot_out = [table.costs.cost(-1, u) for u in owners]
 
     def _rows(self, u: int) -> _OwnerRows:
         """Owner u's fitting rows, built on first use."""
@@ -718,37 +707,30 @@ class ArcIndex:
         return got
 
     def bind_duals(self, duals) -> None:
-        """Price the fitting rows under `duals`; binding the bound object again
-        does nothing.
-
-        The reduced cost of an arc is cost - (sum of intermediate duals) -
-        pi_u, in that order.  This prices every row up to the last term and
-        takes the group minima; _reduced(u) subtracts pi_u from u's rows when
-        they are first read.
-        """
         if duals is self._duals:
             return
         self._duals = duals
         inst = self.inst
         table = self.table
-        pi = self._pi = np.zeros(inst.n + 1)
+        pi = np.zeros(inst.n + 1)
         for u in inst.customers:
             pi[u] = duals.value(u)
-        for u, at, out in zip(inst.customers, self._la_at, self._pisums):
-            np.matmul(table._subset_indicator[u], pi[at], out=out)
-        cbar = np.take(self._pisum, self._flat_subset, out=self._flat_cbar,
+        pisums = []
+        for u in inst.customers:
+            nbrs = table.sets.la(u)
+            pis = pi[list(nbrs)] if nbrs else np.zeros(1)
+            pisums.append(table._subset_indicator[u] @ pis)
+        # cost - (sum of intermediate duals) - pi_u per arc, in that order
+        cbar = np.take(np.concatenate(pisums), self._flat_subset, out=self._flat_cbar,
                        mode="clip")  # ids are in range; "raise" would buffer
         np.subtract(self._flat_cost, cbar, out=cbar)
-        self._priced = [False] * (inst.n + 1)
-        self.owners_priced = 0
+        for u in inst.customers:
+            self._cbar[u] -= pi[u]
         # group minima over (owner, target, demand), ignoring ng sets: this is
-        # the empty-memory view shared by buckets and the search heuristic.
-        # x -> x - pi_u rounds monotonically, so the minimum less pi_u is the
-        # minimum of the reduced costs bit for bit
+        # the empty-memory view shared by buckets and the search heuristic
         mins = np.minimum.reduceat(cbar, self._flat_starts)
-        mins -= pi[self._grp_at[0]]
         dense = np.full((inst.n + 1, inst.n + 1, self.d0 + 1), np.inf)
-        np.put(dense, self._dense_at, mins)
+        dense[self._grp_at] = mins
         # sink groups land in target row _SINK: keep their prefix minima
         # over demand apart, and no customer edge in that row
         self._base_sink = np.minimum.accumulate(dense[:, _SINK], axis=1)
@@ -760,7 +742,7 @@ class ArcIndex:
         self._offset_rate = max(0.0, -worst) if np.isfinite(worst) else 0.0
         # start depot -> u edges, and the best out-and-back route u -> sink
         # among them as (cost, u): a valid incumbent for every search
-        self.source_edges = [(u, c + duals.pi0) for u, c in zip(inst.customers, self._depot_out)]
+        self.source_edges = [(u, table.costs.cost(-1, u) + duals.pi0) for u in inst.customers]
         back = self._base_sink[:, self.d0].tolist()
         self.source_seed = min(((w + back[u], u) for u, w in self.source_edges),
                                key=itemgetter(0), default=(np.inf, None))
@@ -769,15 +751,6 @@ class ArcIndex:
         self._groups.clear()
         self._cores.clear()
         self._reset_labels()
-
-    def _reduced(self, u: int) -> np.ndarray:
-        """Reduced costs of owner u's fitting rows under the bound duals."""
-        cbar = self._cbar[u]
-        if not self._priced[u]:
-            cbar -= self._pi[u]
-            self._priced[u] = True
-            self.owners_priced += 1
-        return cbar
 
     def offset_rate(self) -> float:
         """Per-demand-unit weight offset making every graph edge nonnegative:
@@ -830,7 +803,7 @@ class ArcIndex:
         got = self._cores.get((u, fkey))
         if got is not None:
             return got
-        cbar = self._reduced(u)
+        cbar = self._cbar[u]
         own = self._rows(u)
         starts, gv, gz = own.starts, own.gv, own.gz
         sel = (own.local & np.uint32(self.table.to_local(u, fkey))) == 0
@@ -871,7 +844,7 @@ class ArcIndex:
         table = self.table
         a, b, _ = bounds
         local_v = own.local[a:b]
-        cbar_v = self._reduced(u)[a:b]
+        cbar_v = self._cbar[u][a:b]
         zd_v = own.zd[a:b]
         if m1:
             keep = (local_v & np.uint32(table.to_local(u, m1))) == 0
@@ -981,7 +954,7 @@ class ArcIndex:
             rows = rows[(m2s == table.to_local(u, m2)) & same_outside]
         if not len(rows):
             raise RuntimeError("no arc matches a traversed edge")
-        return int(rows[np.argmin(self._reduced(u)[rows])]) + shift
+        return int(rows[np.argmin(self._cbar[u][rows])]) + shift
 
     def best_sink_arc(self, u: int, m1: int, d: int) -> int:
         """Table row of the cheapest sink arc from (u, M1, d)."""
@@ -991,7 +964,7 @@ class ArcIndex:
         rows = rows[: np.searchsorted(self._rows(u).zd[rows], d + 1)]
         if not len(rows):
             raise RuntimeError("no sink arc fits the remaining capacity")
-        return int(rows[np.argmin(self._reduced(u)[rows])]) + shift
+        return int(rows[np.argmin(self._cbar[u][rows])]) + shift
 
 
 def build_arc_index(table: ComponentPathTable, sets: NeighborSets, capacity: int) -> ArcIndex:

@@ -21,8 +21,7 @@ result object and written to the run summary, never into the trace CSV, so
 identical invocations produce byte-identical trace files; the set-up's split
 (cost matrix, neighbors, arc table, index), the arc count and the bytes of
 the table's subset DP layers go to one DEBUG log line, and each iteration's
-pricing counters, owners whose reduced costs the pricing call read, RMP
-seconds and pivot split to another.  The trace's Lagrangian bound is the RMP
+RMP seconds and pivot split to another.  The trace's Lagrangian bound is the RMP
 value plus the fleet size times the (clamped) minimum reduced cost.
 """
 
@@ -213,10 +212,9 @@ def solve(inst: Instance, config: CgConfig | None = None) -> CgResult:
 
         min_rc = res.reduced_cost
         log.debug("iteration %d: rmp objective %r, min reduced cost %r, %d DSSR iterations, "
-                  "%d nodes, %d edges, %d owners priced; rmp %.2f ms, %d pivots, %d replayed",
-                  it, sol.objective, min_rc, res.iterations, res.nodes_expanded,
-                  res.edges_relaxed, index.owners_priced, 1e3 * (t1 - t0), sol.pivots,
-                  sol.replayed)
+                  "%d nodes, %d edges; rmp %.2f ms, %d pivots, %d replayed", it, sol.objective,
+                  min_rc, res.iterations, res.nodes_expanded, res.edges_relaxed,
+                  1e3 * (t1 - t0), sol.pivots, sol.replayed)
         bound = (
             lagrangian_bound(sol.objective, min_rc, inst.fleet)
             if res.exact else float("nan")

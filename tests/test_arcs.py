@@ -549,7 +549,7 @@ def test_flat_bind_duals_matches_per_owner_formula():
         fit = zd_row + need[v_row] <= inst.capacity
         pisum = table._subset_indicator[u] @ pi[list(sets.la(u))]
         cbar = (table._arc_cost[u] - pisum[table._sub_id[u]] - pi[u]).ravel()
-        assert index._reduced(u).tobytes() == cbar[fit].tobytes()
+        assert index._cbar[u].tobytes() == cbar[fit].tobytes()
         dense = np.full((inst.n + 1, inst.capacity + 1), np.inf)
         sink = np.full(inst.capacity + 1, np.inf)
         for v, zd in sorted(set(zip(v_row.tolist(), zd_row.tolist()))):
@@ -569,38 +569,3 @@ def test_flat_bind_duals_matches_per_owner_formula():
     assert worst < 0
     assert index.offset_rate() == max(0.0, -worst)
 
-
-def test_owners_priced_on_first_read():
-    # bind_duals prices every row up to its owner's dual; an owner's rows get
-    # that dual subtracted on their first read, and only then
-    inst, cm, sets, table = _table(3, 66, 3, 10)
-    index = build_arc_index(table, sets, inst.capacity)
-    rnd = random.Random(4)
-    duals = DualSolution(pi={u: rnd.uniform(0, 300) for u in inst.customers})
-    index.bind_duals(duals)
-    assert index.owners_priced == 0
-    pi = np.zeros(inst.n + 1)
-    for u in inst.customers:
-        pi[u] = duals.value(u)
-    need = np.array([0] + [inst.demand[v] for v in inst.customers])
-
-    def rows(u):
-        # cost - pisum of u's fitting rows, in table row order
-        fit = (table._sub_zd[u] + need[table._targets[u]][:, None] <= inst.capacity).ravel()
-        pisum = table._subset_indicator[u] @ pi[list(sets.la(u))]
-        return (table._arc_cost[u] - pisum[table._sub_id[u]]).ravel()[fit]
-
-    for u in inst.customers:  # unread: no owner's dual subtracted yet
-        assert index._cbar[u].tobytes() == rows(u).tobytes()
-    read = {}
-    for u in (66, 5, 66):
-        read[u] = index._reduced(u).copy()
-        assert read[u].tobytes() == (rows(u) - pi[u]).tobytes()
-    assert index.owners_priced == 2
-    assert index._cbar[6].tobytes() == rows(6).tobytes()
-    index.bind_duals(duals)  # the bound object again: nothing happens
-    assert index.owners_priced == 2 and index._reduced(66).tobytes() == read[66].tobytes()
-    index.bind_duals(DualSolution(pi=dict(duals.pi), pi0=duals.pi0))
-    assert index.owners_priced == 0
-    assert index._cbar[66].tobytes() == rows(66).tobytes()
-    assert index._reduced(66).tobytes() == read[66].tobytes()
