@@ -21,8 +21,8 @@ result object and written to the run summary, never into the trace CSV, so
 identical invocations produce byte-identical trace files; the set-up's split
 (cost matrix, neighbors, arc table, index), the arc count and the bytes of
 the table's subset DP layers go to one DEBUG log line, and each iteration's
-RMP seconds and pivot split to another.  The trace's Lagrangian bound is the RMP
-value plus the fleet size times the (clamped) minimum reduced cost.
+RMP seconds and pivot split to another.  The trace's Lagrangian bound is the
+RMP value plus the fleet size times the (clamped) minimum reduced cost.
 """
 
 from __future__ import annotations
