@@ -107,6 +107,86 @@ def test_ndarray_matrix_matches_lists():
         assert [float(v).hex() for v in got.duals] == [float(v).hex() for v in want.duals]
 
 
+# -- exact mode ---------------------------------------------------------------
+
+# Small LPs for exact mode: flipped rows (b < 0), equality rows, float and
+# Fraction data, infeasible and unbounded LPs, ratio-test ties at degenerate
+# vertices, artificials driven out after phase 1, and a seeded random batch.
+EXACT_LPS = {
+    # b < 0 flips rows: x + y >= 2 given as -x - y <= -2, and x - y = -1
+    "flipped": ([3, 1], [[-1, -1], [1, -1]], ["<=", "="], [-2, -1]),
+    "equalities": ([1, 2, 3], [[1, 1, 1], [0, 1, 2]], ["=", "="], [3, 2]),
+    "floats": ([0.1, 2.5, Fraction(1, 3)], [[1, 0.5, 0], [0, 1, 1]], [">=", ">="], [0.3, 1]),
+    "infeasible": ([1, 1], [[1, 1], [1, 1]], [">=", "<="], [3, 2]),
+    "infeasible_eq": ([1], [[1], [1]], ["=", "="], [1, 2]),
+    "unbounded": ([-1, 0], [[1, -1]], ["<="], [1]),
+    "unbounded_phase2": ([0, -1], [[1, 0], [-1, 1]], [">=", ">="], [1, -3]),
+    "degenerate": ([-1, -1, 0], [[1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1]],
+                   ["<=", "<=", "<=", "<="], [1, 1, 1, 1]),
+    "degenerate_zero_rhs": ([-2, -3, 1], [[1, -1, 0], [0, 1, -1], [1, 1, 1]],
+                            ["<=", "<=", "<="], [0, 0, 2]),
+    "drive_out": ([1, 3, 1], [[1, 1, 1], [0, 1, 1], [1, 1, 1], [1, 1, 1]],
+                  ["=", ">=", "=", ">="], [1, 1, 1, 1]),
+    "redundant_eq": ([1, 2], [[1, 1], [2, 2]], ["=", "="], [1, 2]),
+    "redundant_cover": ([1, 1], [[1, 1], [1, 1], [2, 2], [1, 0], [0, 1]],
+                        [">="] * 5, [1, 1, 2, 0, 0]),
+}
+_rnd = random.Random(2024)
+for _k in range(12):
+    _m, _n = _rnd.randint(2, 4), _rnd.randint(2, 5)
+    EXACT_LPS[f"seeded_{_k}"] = (
+        [_rnd.randint(-3, 6) for _ in range(_n)],
+        [[_rnd.randint(-2, 3) for _ in range(_n)] for _ in range(_m)],
+        [_rnd.choice(["<=", ">=", "="]) for _ in range(_m)],
+        [_rnd.randint(-4, 5) for _ in range(_m)],
+    )
+
+# status, objective, x, duals and pivots of each LP in exact mode
+EXACT_RESULTS = {
+    "flipped": ("optimal", "3", ["1/2", "3/2"], ["-2", "1"], 2),
+    "equalities": ("optimal", "5", ["1", "2", "0"], ["1", "1"], 2),
+    "floats": (
+        "optimal", "707450446975370265468144035425157/1947111321950560360698936123457536",
+        ["5404319552844595/18014398509481984", "0", "1"],
+        ["3602879701896397/36028797018963968", "1/3"], 4
+    ),
+    "infeasible": ("infeasible", None, ["0", "0"], ["0", "0"], 1),
+    "infeasible_eq": ("infeasible", None, ["0"], ["0", "0"], 1),
+    "unbounded": ("unbounded", None, ["0", "0"], ["0"], 1),
+    "unbounded_phase2": ("unbounded", None, ["0", "0"], ["0", "0"], 1),
+    "degenerate": ("optimal", "-1", ["1", "0", "0"], ["-1", "0", "0", "0"], 1),
+    "degenerate_zero_rhs": ("optimal", "-8/3", ["2/3", "2/3", "2/3"], ["-2/3", "-7/3", "-4/3"], 3),
+    "drive_out": ("optimal", "1", ["0", "0", "1"], ["1", "0", "0", "0"], 5),
+    "redundant_eq": ("optimal", "1", ["1", "0"], ["1", "0"], 1),
+    "redundant_cover": ("optimal", "1", ["1", "0"], ["0", "0", "1/2", "0", "0"], 5),
+    "seeded_0": ("infeasible", None, ["0", "0", "0"], ["0", "0", "0"], 2),
+    "seeded_1": ("infeasible", None, ["0", "0", "0", "0"], ["0", "0", "0", "0"], 1),
+    "seeded_2": ("infeasible", None, ["0", "0", "0"], ["0", "0", "0", "0"], 1),
+    "seeded_3": ("infeasible", None, ["0", "0", "0", "0"], ["0", "0"], 2),
+    "seeded_4": ("unbounded", None, ["0", "0"], ["0", "0"], 1),
+    "seeded_5": ("optimal", "0", ["5", "0", "0", "0"], ["0", "0"], 1),
+    "seeded_6": ("optimal", "8", ["2", "1", "0", "0"], ["0", "-17/3", "0", "-2/3"], 5),
+    "seeded_7": ("optimal", "15", ["0", "0", "5/2"], ["0", "3"], 1),
+    "seeded_8": ("optimal", "-10/3", ["0", "5/3"], ["0", "-2/3", "0", "0"], 2),
+    "seeded_9": ("optimal", "11/9", ["0", "13/9", "2/3"], ["13/9", "-1/3"], 2),
+    "seeded_10": ("unbounded", None, ["0", "0", "0", "0", "0"], ["0", "0", "0"], 1),
+    "seeded_11": ("infeasible", None, ["0", "0"], ["0", "0", "0", "0"], 1),
+}
+
+
+@pytest.mark.parametrize("name", list(EXACT_LPS))
+def test_exact_mode_pinned(name):
+    res = solve_lp(*EXACT_LPS[name], exact=True)
+    status, objective, x, duals, pivots = EXACT_RESULTS[name]
+    assert res.status == status
+    assert res.objective == (None if objective is None else Fraction(objective))
+    assert res.x == [Fraction(v) for v in x]
+    assert res.duals == [Fraction(v) for v in duals]
+    assert res.pivots == pivots
+    numbers = res.x + res.duals + ([] if objective is None else [res.objective])
+    assert all(type(v) is Fraction for v in numbers)
+
+
 # -- exact replay -------------------------------------------------------------
 
 
