@@ -1,15 +1,18 @@
-"""Dense two-phase primal simplex, float (numpy) and exact (Fraction) modes.
+"""Dense two-phase primal simplex over floats or exact Fractions.
 
 Solves   min c.x  s.t.  A x {<=,>=,=} b,  x >= 0.
 
-The float path keeps the tableau [A | b] over [z | objective], z the negated
-reduced costs, in one numpy array and pivots with vectorized row operations
-(Dantzig entering rule, lowest-index ties, Bland's rule after a degeneracy
-stall).  A pivot's rank-1 update is one BLAS outer product into a reused
-buffer and one subtraction, which update the rows, the right-hand side, z
-and the objective together.  The exact path runs the same algorithm over
-Fractions with Bland's rule throughout; it is meant for oracle-grade checks
-on tiny problems, not for speed.
+One tableau class serves both number types.  It keeps the tableau [A | b]
+over [z | objective], z the negated reduced costs, in one numpy array and
+pivots with vectorized row operations (Dantzig entering rule, lowest-index
+ties, Bland's rule after a degeneracy stall).  A pivot's rank-1 update is one
+outer product into a reused buffer and one subtraction, which update the
+rows, the right-hand side, z and the objective together.  Floats take a
+float64 array and a BLAS product.  Exact mode takes an object array of
+Fractions, converted exactly from the input's ints and floats, with tol = 0
+and Bland's rule from the first pivot; it is meant for oracle-grade checks
+on small problems, not for speed.  The number type is fixed when the
+tableau is built, so the float pivot loop takes no branch on it.
 
 Duals are read from the reduced-cost row under the unit column of each row
 (the artificial, or the slack for rows that never needed one), so callers
@@ -52,6 +55,7 @@ from fractions import Fraction
 import numpy as np
 
 _TOL = 1e-9
+_INFEASIBLE = 1e-7  # phase-1 objective above which a float LP is infeasible
 SNAPSHOT_EVERY = 16  # steps between tableau snapshots of a Replay record
 
 # a recorded step: (r, e, pivot element, pivot column, pivot row after the
@@ -66,9 +70,9 @@ _END = (-1, -1, 0.0, None, None)
 @dataclass
 class LpResult:
     status: str  # optimal | infeasible | unbounded
-    x: list
-    objective: object
-    duals: list
+    x: list  # floats, or Fractions in exact mode; all zero unless optimal
+    objective: object  # float or Fraction; nan (float) or None (exact) unless optimal
+    duals: list  # one per row, of x's number type; all zero unless optimal
     pivots: int = 0  # pivots applied to the full tableau
     replayed: int = 0  # pivots re-applied from a Replay record
 
@@ -109,46 +113,46 @@ class Replay:
 
 def solve_lp(c, A, senses, b, exact: bool = False, tol: float = _TOL,
              replay: Replay | None = None) -> LpResult:
-    m = len(A)
+    m, n = len(A), len(c)
     if m != len(senses) or m != len(b):
         raise ValueError("A, senses and b must agree in length")
+    if not (A.shape == (m, n) if isinstance(A, np.ndarray) else all(len(row) == n for row in A)):
+        raise ValueError(f"every row of A must have len(c) = {n} entries")
     for s in senses:
         if s not in ("<=", ">=", "="):
             raise ValueError(f"bad sense {s!r}")
+    if exact and replay is not None:
+        raise ValueError("replay applies to the float path only")
+    return _solve(c, A, tuple(senses), b, exact, tol, replay)
+
+
+_fractions = np.frompyfunc(Fraction, 1, 1)  # elementwise, exact from int or float
+
+
+def _solve(c, A, senses, b, exact, tol, replay) -> LpResult:
+    m, n = len(A), len(c)
     if exact:
-        if replay is not None:
-            raise ValueError("replay applies to the float path only")
-        return _solve_exact(c, A, senses, b)
-    return _solve_float(c, A, senses, b, tol, replay)
-
-
-# ---------------------------------------------------------------------------
-# float mode
-# ---------------------------------------------------------------------------
-
-
-def _solve_float(c, A, senses, b, tol, replay) -> LpResult:
-    m = len(A)
-    n = len(c)
-    c = np.asarray(c, dtype=float)
-    A = np.asarray(A, dtype=float).reshape(m, n)
-    b = np.asarray(b, dtype=float)
-    senses = tuple(senses)
+        c, A, b = (_fractions(np.asarray(v, dtype=object)) for v in (c, A, b))
+        zero, one, tol, infeasible = Fraction(0), Fraction(1), 0, 0
+    else:
+        c, A, b = (np.asarray(v, dtype=float) for v in (c, A, b))
+        zero, one, infeasible = 0.0, 1.0, _INFEASIBLE
+    A = A.reshape(m, n)
     n_old = replay._extended(c, A, senses, b, tol) if replay is not None else None
     rhs = b.copy()
     flipped = list(senses)
-    row_sign = np.ones(m)
+    row_sign = np.full(m, one, dtype=c.dtype)
     for i in range(m):
         if rhs[i] < 0:
             rhs[i] = -rhs[i]
-            row_sign[i] = -1.0
+            row_sign[i] = -one
             flipped[i] = {"<=": ">=", ">=": "<=", "=": "="}[flipped[i]]
 
     # column layout: structural | slack/surplus | artificial
     slack_cols = []
     for i, s in enumerate(flipped):
         if s != "=":
-            slack_cols.append((i, 1.0 if s == "<=" else -1.0))
+            slack_cols.append((i, one if s == "<=" else -one))
     n_slack = len(slack_cols)
     basis_unit_col = [-1] * m  # unit column used to read the dual of row i
     art_rows = [i for i, s in enumerate(flipped) if s != "<="]
@@ -156,7 +160,7 @@ def _solve_float(c, A, senses, b, tol, replay) -> LpResult:
 
     # the structural block is only read: A itself unless a row is flipped
     struct = A * row_sign[:, None] if (row_sign < 0).any() else A
-    units = np.zeros((m, n_slack + n_art))
+    units = np.full((m, n_slack + n_art), zero, dtype=c.dtype)
     for j, (i, coef) in enumerate(slack_cols):
         units[i, j] = coef
         if flipped[i] == "<=":
@@ -166,15 +170,19 @@ def _solve_float(c, A, senses, b, tol, replay) -> LpResult:
         if s == "<=":
             basis[i] = basis_unit_col[i]
     for j, i in enumerate(art_rows):
-        units[i, n_slack + j] = 1.0
+        units[i, n_slack + j] = one
         basis[i] = n + n_slack + j
         basis_unit_col[i] = n + n_slack + j
     n_free = n + n_slack  # artificials sit at the tail and never re-enter
     N = n_free + n_art
+    phase1 = np.full(N, zero, dtype=c.dtype)
+    phase1[n_free:] = one
+    phase2 = np.full(N, zero, dtype=c.dtype)
+    phase2[:n] = c
 
     past = replay if n_old is not None else None
-    state = _FloatTableau(struct, units, rhs, basis, tol, past, n_old or 0)
-    result = _two_phase(state, c, n, n_free, N)
+    state = _Tableau(struct, units, rhs, basis, tol, exact, past, n_old or 0)
+    result = _two_phase(state, phase1, phase2, n_free, infeasible)
     if replay is not None:
         # only a finished solve is worth following: one that stopped early
         # has no record of the steps after its stop
@@ -182,35 +190,32 @@ def _solve_float(c, A, senses, b, tol, replay) -> LpResult:
         replay._lp, replay.steps = lp, state.steps
         replay.snaps, replay.starts = state.snaps, state.starts
     if result != "optimal":
-        return LpResult(result, [0.0] * n, float("nan"), [0.0] * m,
+        return LpResult(result, [zero] * n, None if exact else float("nan"), [zero] * m,
                         state.pivots, state.replayed)
 
-    x = [0.0] * n
+    x = [zero] * n
     rhs = state.T[:m, -1]
     for i, j in enumerate(state.basis):
         if j < n:
             x[j] += rhs[i]
     z = state.z_row()
     # a zero product of BLAS may be +0.0 where an elementwise one is -0.0, and
-    # a replay and a fresh solve form some products differently; adding 0.0
-    # turns -0.0 into 0.0 and leaves every other value as it is
-    duals = [z[basis_unit_col[i]] * row_sign[i] + 0.0 for i in range(m)]
-    return LpResult("optimal", x, state.objective() + 0.0, duals, state.pivots, state.replayed)
+    # a replay and a fresh solve form some products differently; adding zero
+    # turns -0.0 into 0.0 and leaves every other value, and any Fraction, as it is
+    duals = [z[basis_unit_col[i]] * row_sign[i] + zero for i in range(m)]
+    return LpResult("optimal", x, state.objective() + zero, duals, state.pivots, state.replayed)
 
 
-def _two_phase(state, c, n, n_free, N) -> str:
+def _two_phase(state, phase1, phase2, n_free, infeasible) -> str:
+    N = len(phase1)
     if n_free < N:
-        c1 = np.zeros(N)
-        c1[n_free:] = 1.0
-        state.set_costs(c1)
+        state.set_costs(phase1)
         status = state.optimize(N)
-        if status != "optimal" or state.objective() > 1e-7:
+        if status != "optimal" or state.objective() > infeasible:
             return "infeasible"
         state.drive_out_artificials(n_free)
 
-    c2 = np.zeros(N)
-    c2[:n] = c
-    state.set_costs(c2)
+    state.set_costs(phase2)
     return state.optimize(n_free)
 
 
@@ -229,6 +234,15 @@ def _eliminate(T, r, piv, col, upd) -> None:
     T[r] /= piv
     np.dot(col[:, None], T[r][None, :], out=upd)
     T -= upd
+
+
+def _eliminate_exact(T, r, piv, col, _upd) -> None:
+    """`_eliminate` on a Fraction tableau, over the rows with col[i] != 0 and
+    the columns with T[r, j] != 0 alone: a zero product changes no exact
+    value, but costs as much as any other."""
+    rows, cols = np.flatnonzero(col), np.flatnonzero(T[r])
+    T[r, cols] /= piv
+    T[np.ix_(rows, cols)] -= np.multiply.outer(col[rows], T[r, cols])
 
 
 def _grown(row, j, block):
@@ -252,8 +266,11 @@ def _full_row(row):
     return row
 
 
-class _FloatTableau:
+class _Tableau:
     """The tableau [A | rhs] over [z | objective], z the negated reduced costs.
+
+    Its numbers are float64, or Fractions in an object array when `exact`,
+    which also sets Bland's rule from the first pivot; tol is then 0.
 
     A pivot is one `_eliminate` of the whole array with the pivot column
     (z's entry included), which updates the rows, the right-hand side, z and
@@ -263,11 +280,13 @@ class _FloatTableau:
     until `z_row` rebuilds it.
     """
 
-    def __init__(self, struct, units, rhs, basis, tol, past=None, n_old=0):
+    def __init__(self, struct, units, rhs, basis, tol, exact=False, past=None, n_old=0):
         m, n = struct.shape
         self.m = m
         self.basis = basis
         self.tol = tol
+        self._bland = exact  # Bland's rule from the first pivot
+        self._eliminate = _eliminate_exact if exact else _eliminate
         self.pivots = 0
         self.replayed = 0
         self.steps = []  # this solve's record, see _END
@@ -282,7 +301,7 @@ class _FloatTableau:
         self._n_old = n_old
         self._shift = n - n_old
         if past is None:
-            T = np.zeros((m + 1, self._N + 1))
+            T = np.zeros((m + 1, self._N + 1), dtype=struct.dtype)
             T[:m, :n] = struct
             T[:m, n:-1] = units
         else:
@@ -309,7 +328,7 @@ class _FloatTableau:
         cb = costs[self.basis]
         d = costs - cb @ C
         self.starts[k] = d
-        T[m, -1] = float(cb @ T[:m, -1].copy())
+        T[m, -1] = cb @ T[:m, -1].copy()
         if self._past is None:
             T[m, :-1] = -d
             return
@@ -347,7 +366,7 @@ class _FloatTableau:
         """Pivot to optimality; only columns below `limit` may enter."""
         m, N = self.m, self._N
         stall = 0
-        bland = False
+        bland = self._bland
         last_obj = self.objective()
         max_iter = 20000 + 200 * (m + N)
         for _ in range(max_iter):
@@ -430,10 +449,10 @@ class _FloatTableau:
         T = self.T
         piv = T[r, e]
         col = T[:, e].copy()
-        col[r] = 0.0
+        col[r] = 0  # an int zero keeps a Fraction tableau exact
         if not costs:
-            col[-1] = 0.0
-        _eliminate(T, r, piv, col, self._update)
+            col[-1] = 0
+        self._eliminate(T, r, piv, col, self._update)
         self.pivots += 1
         self.basis[r] = e
         self._append((r, e, piv, col, T[r, :-1].copy() if costs else None))
@@ -556,139 +575,3 @@ class _FloatTableau:
         self.z = T[m, :-1]
         self._past = None
 
-
-# ---------------------------------------------------------------------------
-# exact mode
-# ---------------------------------------------------------------------------
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(x)  # exact conversion from float
-
-
-def _solve_exact(c, A, senses, b) -> LpResult:
-    m = len(A)
-    n = len(c)
-    rows = [[_frac(v) for v in row] for row in A]
-    rhs = [_frac(v) for v in b]
-    senses = list(senses)
-    row_sign = [Fraction(1)] * m
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
-            row_sign[i] = Fraction(-1)
-            senses[i] = {"<=": ">=", ">=": "<=", "=": "="}[senses[i]]
-
-    slack_cols = [(i, Fraction(1) if s == "<=" else Fraction(-1))
-                  for i, s in enumerate(senses) if s != "="]
-    n_slack = len(slack_cols)
-    art_rows = [i for i, s in enumerate(senses) if s != "<="]
-    n_art = len(art_rows)
-    N = n + n_slack + n_art
-    zero = Fraction(0)
-
-    T = [[zero] * N for _ in range(m)]
-    for i in range(m):
-        for j in range(n):
-            T[i][j] = rows[i][j]
-    basis_unit_col = [-1] * m
-    basis = [-1] * m
-    for j, (i, coef) in enumerate(slack_cols):
-        T[i][n + j] = coef
-        if senses[i] == "<=":
-            basis[i] = n + j
-            basis_unit_col[i] = n + j
-    for j, i in enumerate(art_rows):
-        col = n + n_slack + j
-        T[i][col] = Fraction(1)
-        basis[i] = col
-        basis_unit_col[i] = col
-    art_set = set(range(n + n_slack, N))
-    pivots = 0
-
-    def run(costs, blocked):
-        nonlocal pivots
-        # reduced-cost row and objective for the current basis
-        drow = list(costs)
-        obj = zero
-        for i in range(m):
-            cb = costs[basis[i]]
-            if cb != 0:
-                obj += cb * rhs[i]
-                for j in range(N):
-                    drow[j] -= cb * T[i][j]
-        while True:
-            e = None
-            for j in range(N):  # Bland's rule
-                if j not in blocked and drow[j] < 0:
-                    e = j
-                    break
-            if e is None:
-                return "optimal", drow, obj
-            r = None
-            best_ratio = None
-            for i in range(m):
-                if T[i][e] > 0:
-                    ratio = rhs[i] / T[i][e]
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and basis[i] < basis[r])
-                    ):
-                        r, best_ratio = i, ratio
-            if r is None:
-                return "unbounded", drow, obj
-            piv = T[r][e]
-            T[r] = [v / piv for v in T[r]]
-            rhs[r] = rhs[r] / piv
-            for i in range(m):
-                if i != r and T[i][e] != 0:
-                    f = T[i][e]
-                    T[i] = [a - f * bb for a, bb in zip(T[i], T[r])]
-                    rhs[i] = rhs[i] - f * rhs[r]
-            de = drow[e]
-            drow = [a - de * bb for a, bb in zip(drow, T[r])]
-            obj += de * rhs[r]
-            basis[r] = e
-            pivots += 1
-
-    if n_art:
-        c1 = [zero] * N
-        for j in art_set:
-            c1[j] = Fraction(1)
-        status, _, obj1 = run(c1, frozenset())
-        if status != "optimal" or obj1 > 0:
-            return LpResult("infeasible", [zero] * n, None, [zero] * m, pivots)
-        for r in range(m):  # drive artificials out of the basis
-            if basis[r] in art_set:
-                for j in range(N):
-                    if j not in art_set and T[r][j] != 0:
-                        piv = T[r][j]
-                        T[r] = [v / piv for v in T[r]]
-                        rhs[r] = rhs[r] / piv
-                        for i in range(m):
-                            if i != r and T[i][j] != 0:
-                                f = T[i][j]
-                                T[i] = [a - f * bb for a, bb in zip(T[i], T[r])]
-                                rhs[i] = rhs[i] - f * rhs[r]
-                        basis[r] = j
-                        pivots += 1
-                        break
-
-    c2 = [zero] * N
-    for j in range(n):
-        c2[j] = _frac(c[j])
-    status, drow, obj = run(c2, frozenset(art_set))
-    if status != "optimal":
-        return LpResult(status, [zero] * n, None, [zero] * m, pivots)
-    x = [zero] * n
-    for i, j in enumerate(basis):
-        if j < n:
-            x[j] += rhs[i]
-    duals = [-drow[basis_unit_col[i]] * row_sign[i] for i in range(m)]
-    return LpResult("optimal", x, obj, duals, pivots)

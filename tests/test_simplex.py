@@ -187,6 +187,53 @@ def test_exact_mode_pinned(name):
     assert all(type(v) is Fraction for v in numbers)
 
 
+def test_exact_objectives_match_highs():
+    # an independent reference: exact and float modes share the pivot code
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rnd = random.Random(31)
+    statuses = set()
+    for _ in range(80):
+        m, n = rnd.randint(1, 5), rnd.randint(1, 6)
+        c = [rnd.choice([-1, 0, 1, 2, 3, 0.5, 2.5]) for _ in range(n)]
+        A = [[rnd.choice([-2, -1, 0, 0, 1, 2, 3, 0.5]) for _ in range(n)] for _ in range(m)]
+        senses = [rnd.choice(["<=", ">=", "="]) for _ in range(m)]
+        # b is met by a point x0 >= 0, so every LP is feasible
+        x0 = [rnd.randint(0, 3) for _ in range(n)]
+        slack = {"<=": 1, ">=": -1, "=": 0}
+        b = [sum(a * x for a, x in zip(row, x0)) + slack[s] * rnd.randint(0, 2)
+             for row, s in zip(A, senses)]
+        res = solve_lp(c, A, senses, b, exact=True)
+        sign = {"<=": 1, ">=": -1}
+        ub = [i for i, s in enumerate(senses) if s != "="]
+        eq = [i for i, s in enumerate(senses) if s == "="]
+        ref = linprog(
+            c,
+            A_ub=[[sign[senses[i]] * a for a in A[i]] for i in ub] or None,
+            b_ub=[sign[senses[i]] * b[i] for i in ub] or None,
+            A_eq=[A[i] for i in eq] or None, b_eq=[b[i] for i in eq] or None,
+            bounds=(0, None), method="highs",
+        )
+        assert res.status == {0: "optimal", 3: "unbounded"}[ref.status]
+        statuses.add(res.status)
+        if res.status == "optimal":
+            assert abs(float(res.objective) - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
+    assert statuses == {"optimal", "unbounded"}
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_matrix_width_must_match_costs(exact):
+    bad = {
+        "row too long": ([1], [[1, 5]]),
+        "row too short": ([1, 2], [[1]]),
+        "ragged rows": ([1, 2], [[1, 2], [1]]),
+        "array too wide": ([1], np.array([[1.0, 5.0]])),
+        "array of one dimension": ([1], np.array([1.0])),
+    }
+    for name, (c, A) in bad.items():
+        with pytest.raises(ValueError, match="len\\(c\\)"):
+            solve_lp(c, A, [">="] * len(A), [1] * len(A), exact=exact)
+
+
 # -- exact replay -------------------------------------------------------------
 
 
@@ -248,7 +295,7 @@ def test_replay_follows_an_unchanged_lp_to_the_end():
 def divergences(monkeypatch):
     """(stage, step index) of every replay divergence; stage is phase1, drive or phase2."""
     seen = []
-    tab = simplex._FloatTableau
+    tab = simplex._Tableau
     set_costs, drive_out, diverge = tab.set_costs, tab.drive_out_artificials, tab._diverge
 
     def on_set_costs(self, costs):
@@ -379,14 +426,14 @@ _COVER5 = [(3.0, [int(i == j) for i in range(5)]) for j in range(5)] + [
 def lean_steps(monkeypatch):
     """Counts of replayed pivots that ran lean and that ran at full width."""
     seen = {"lean": 0, "full": 0}
-    replay_pivot = simplex._FloatTableau._replay_pivot
+    replay_pivot = simplex._Tableau._replay_pivot
 
     def counted(self, rec, costs=True):
         if costs:
             seen["lean" if self.z is None else "full"] += 1
         replay_pivot(self, rec, costs)
 
-    monkeypatch.setattr(simplex._FloatTableau, "_replay_pivot", counted)
+    monkeypatch.setattr(simplex._Tableau, "_replay_pivot", counted)
     return seen
 
 
