@@ -131,6 +131,13 @@ def price_elementary(inst: Instance, sets: NeighborSets, table: ComponentPathTab
     total_nodes = total_edges = 0
     best_elem: Route | None = None
     best_rc = float("inf")
+
+    def result(route, rc, exact):
+        return DssrResult(
+            route=route, reduced_cost=rc, early_columns=early, iterations=it, exact=exact,
+            log=log, nodes_expanded=total_nodes, edges_relaxed=total_edges,
+        )
+
     for it in range(1, limit + 1):
         res = solve_la_pricing(
             inst, sets, table, duals, index=index, heuristic=heuristic, prune_bound=best_rc,
@@ -140,11 +147,7 @@ def price_elementary(inst: Instance, sets: NeighborSets, table: ComponentPathTab
         total_edges += res.diagnostics.edges_relaxed
         route = res.route
         if route is None:  # the deadline passed inside the search
-            return DssrResult(
-                route=best_elem, reduced_cost=best_rc, early_columns=early,
-                iterations=it, exact=False, log=log, nodes_expanded=total_nodes,
-                edges_relaxed=total_edges,
-            )
+            return result(best_elem, best_rc, False)
         if best_elem is not None and res.reduced_cost >= best_rc - 1e-12:
             # nothing in the current relaxation beats a route that is already
             # elementary and graph-feasible: it is the exact minimizer
@@ -153,22 +156,14 @@ def price_elementary(inst: Instance, sets: NeighborSets, table: ComponentPathTab
                 cycle=None, ng_total=sets.ng_size_total(),
                 nodes_expanded=res.diagnostics.nodes_expanded,
             ))
-            return DssrResult(
-                route=best_elem, reduced_cost=best_rc, early_columns=early,
-                iterations=it, exact=True, log=log, nodes_expanded=total_nodes,
-                edges_relaxed=total_edges,
-            )
+            return result(best_elem, best_rc, True)
         if is_elementary(route):
             log.append(DssrIteration(
                 objective=res.reduced_cost, seq=route.seq, elementary=True,
                 cycle=None, ng_total=sets.ng_size_total(),
                 nodes_expanded=res.diagnostics.nodes_expanded,
             ))
-            return DssrResult(
-                route=route, reduced_cost=res.reduced_cost, early_columns=early,
-                iterations=it, exact=True, log=log, nodes_expanded=total_nodes,
-                edges_relaxed=total_edges,
-            )
+            return result(route, res.reduced_cost, True)
         trimmed = trim_to_elementary(route, inst)
         rc_trim = reduced_cost(trimmed, duals, costs)
         if rc_trim < best_rc:
@@ -183,17 +178,9 @@ def price_elementary(inst: Instance, sets: NeighborSets, table: ComponentPathTab
             nodes_expanded=res.diagnostics.nodes_expanded,
         ))
         if early_exit == "first_negative" and rc_trim < -1e-9:
-            return DssrResult(
-                route=trimmed, reduced_cost=rc_trim, early_columns=early,
-                iterations=it, exact=False, log=log, nodes_expanded=total_nodes,
-                edges_relaxed=total_edges,
-            )
+            return result(trimmed, rc_trim, False)
         if deadline is not None and time.perf_counter() >= deadline:
-            return DssrResult(
-                route=best_elem, reduced_cost=best_rc, early_columns=early,
-                iterations=it, exact=False, log=log, nodes_expanded=total_nodes,
-                edges_relaxed=total_edges,
-            )
+            return result(best_elem, best_rc, False)
         grew = False
         for w in choice.augment:
             grew = augment_ng(sets, w, choice.customer) or grew
