@@ -6,13 +6,14 @@ One tableau class serves both number types.  It keeps the tableau [A | b]
 over [z | objective], z the negated reduced costs, in one numpy array and
 pivots with vectorized row operations (Dantzig entering rule, lowest-index
 ties, Bland's rule after a degeneracy stall).  A pivot's rank-1 update is one
-outer product into a reused buffer and one subtraction, which update the
-rows, the right-hand side, z and the objective together.  Floats take a
-float64 array and a BLAS product.  Exact mode takes an object array of
-Fractions, converted exactly from the input's ints and floats, with tol = 0
-and Bland's rule from the first pivot; it is meant for oracle-grade checks
-on small problems, not for speed.  The number type is fixed when the
-tableau is built, so the float pivot loop takes no branch on it.
+outer product and one subtraction, which update the rows, the right-hand
+side, z and the objective together.  Floats take a float64 array and a BLAS
+product into a reused buffer.  Exact mode takes an object array of
+Fractions, converted exactly from the input's ints and floats, with tol = 0,
+Bland's rule from the first pivot and the update restricted to the nonzero
+rows and columns of the product; it is meant for oracle-grade checks on
+small problems, not for speed.  The number type is fixed when the tableau
+is built, so the float pivot loop takes no branch on it.
 
 Duals are read from the reduced-cost row under the unit column of each row
 (the artificial, or the slack for rows that never needed one), so callers
@@ -272,9 +273,10 @@ class _Tableau:
     Its numbers are float64, or Fractions in an object array when `exact`,
     which also sets Bland's rule from the first pivot; tol is then 0.
 
-    A pivot is one `_eliminate` of the whole array with the pivot column
-    (z's entry included), which updates the rows, the right-hand side, z and
-    the objective as separate vector operations would, product for product.
+    A pivot is one `_eliminate` (or `_eliminate_exact`) of the whole array
+    with the pivot column (z's entry included), which updates the rows, the
+    right-hand side, z and the objective as separate vector operations
+    would, product for product.
     While following a record, T holds only the columns appended since, and
     the full z row is kept apart, or in a lean phase (z is None) not kept
     until `z_row` rebuilds it.

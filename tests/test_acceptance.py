@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The benchmark-backed
 criteria (7 and 8) solve a fleet of n in {30, 40} instances three times each
-and dominate the runtime; everything else finishes in seconds.
+and dominate the runtime, so they carry the `slow` marker; everything else
+finishes in seconds.
 """
 
 import itertools
@@ -243,6 +244,7 @@ def test_criterion_06_relaxation_ordering():
             f"{checked} instances with fixed spatial ng sets (exact rational LPs)")
 
 
+@pytest.mark.slow
 def test_criterion_07_arm_invariance(bench_results):
     worst = 0.0
     pairs = 0
@@ -256,6 +258,7 @@ def test_criterion_07_arm_invariance(bench_results):
             f"instances, max |diff| = {worst:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_08_directional_speedup(bench_results):
     f5s, f10s = [], []
     for key, arms in bench_results.items():
