@@ -144,7 +144,7 @@ for _k in range(12):
 # status, objective, x, duals and pivots of each LP in exact mode
 EXACT_RESULTS = {
     "flipped": ("optimal", "3", ["1/2", "3/2"], ["-2", "1"], 2),
-    "equalities": ("optimal", "5", ["1", "2", "0"], ["1", "1"], 2),
+    "equalities": ("optimal", "5", ["2", "0", "1"], ["1", "1"], 2),
     "floats": (
         "optimal", "707450446975370265468144035425157/1947111321950560360698936123457536",
         ["5404319552844595/18014398509481984", "0", "1"],
@@ -156,7 +156,7 @@ EXACT_RESULTS = {
     "unbounded_phase2": ("unbounded", None, ["0", "0"], ["0", "0"], 1),
     "degenerate": ("optimal", "-1", ["1", "0", "0"], ["-1", "0", "0", "0"], 1),
     "degenerate_zero_rhs": ("optimal", "-8/3", ["2/3", "2/3", "2/3"], ["-2/3", "-7/3", "-4/3"], 3),
-    "drive_out": ("optimal", "1", ["0", "0", "1"], ["1", "0", "0", "0"], 5),
+    "drive_out": ("optimal", "1", ["0", "0", "1"], ["1", "0", "0", "0"], 4),
     "redundant_eq": ("optimal", "1", ["1", "0"], ["1", "0"], 1),
     "redundant_cover": ("optimal", "1", ["1", "0"], ["0", "0", "1/2", "0", "0"], 5),
     "seeded_0": ("infeasible", None, ["0", "0", "0"], ["0", "0", "0"], 2),
@@ -165,11 +165,11 @@ EXACT_RESULTS = {
     "seeded_3": ("infeasible", None, ["0", "0", "0", "0"], ["0", "0"], 2),
     "seeded_4": ("unbounded", None, ["0", "0"], ["0", "0"], 1),
     "seeded_5": ("optimal", "0", ["5", "0", "0", "0"], ["0", "0"], 1),
-    "seeded_6": ("optimal", "8", ["2", "1", "0", "0"], ["0", "-17/3", "0", "-2/3"], 5),
+    "seeded_6": ("optimal", "8", ["2", "1", "0", "0"], ["0", "-17/3", "0", "-2/3"], 4),
     "seeded_7": ("optimal", "15", ["0", "0", "5/2"], ["0", "3"], 1),
     "seeded_8": ("optimal", "-10/3", ["0", "5/3"], ["0", "-2/3", "0", "0"], 2),
     "seeded_9": ("optimal", "11/9", ["0", "13/9", "2/3"], ["13/9", "-1/3"], 2),
-    "seeded_10": ("unbounded", None, ["0", "0", "0", "0", "0"], ["0", "0", "0"], 1),
+    "seeded_10": ("unbounded", None, ["0", "0", "0", "0", "0"], ["0", "0", "0"], 2),
     "seeded_11": ("infeasible", None, ["0", "0"], ["0", "0", "0", "0"], 1),
 }
 
