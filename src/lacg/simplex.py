@@ -9,10 +9,10 @@ ties, Bland's rule after a degeneracy stall).  A pivot's rank-1 update is one
 outer product and one subtraction, which update the rows, the right-hand
 side, z and the objective together.  Floats take a float64 array and a BLAS
 product into a reused buffer.  Exact mode takes an object array of
-Fractions, converted exactly from the input's ints and floats, with tol = 0,
-Bland's rule from the first pivot and the update restricted to the nonzero
-rows and columns of the product; it is meant for oracle-grade checks on
-small problems, not for speed.  The number type is fixed when the tableau
+Fractions, converted exactly from the input's ints and floats, with tol = 0
+and the update restricted to the nonzero rows and columns of the product; it
+takes the same pivot rule, and is meant for oracle-grade checks on small
+problems, not for speed.  The number type is fixed when the tableau
 is built, so the float pivot loop takes no branch on it.
 
 Duals are read from the reduced-cost row under the unit column of each row
@@ -270,8 +270,8 @@ def _full_row(row):
 class _Tableau:
     """The tableau [A | rhs] over [z | objective], z the negated reduced costs.
 
-    Its numbers are float64, or Fractions in an object array when `exact`,
-    which also sets Bland's rule from the first pivot; tol is then 0.
+    Its numbers are float64, or Fractions in an object array when `exact`;
+    tol is then 0.
 
     A pivot is one `_eliminate` (or `_eliminate_exact`) of the whole array
     with the pivot column (z's entry included), which updates the rows, the
@@ -287,7 +287,6 @@ class _Tableau:
         self.m = m
         self.basis = basis
         self.tol = tol
-        self._bland = exact  # Bland's rule from the first pivot
         self._eliminate = _eliminate_exact if exact else _eliminate
         self.pivots = 0
         self.replayed = 0
@@ -368,7 +367,7 @@ class _Tableau:
         """Pivot to optimality; only columns below `limit` may enter."""
         m, N = self.m, self._N
         stall = 0
-        bland = self._bland
+        bland = False
         last_obj = self.objective()
         max_iter = 20000 + 200 * (m + N)
         for _ in range(max_iter):
