@@ -36,16 +36,17 @@ recorded step and the appended columns' reduced costs alone, and the
 recorded pivot column updates the appended columns, the right-hand side,
 their z and the objective in one outer product.  Otherwise the phase also
 updates the full z row with the recorded pivot row at each step.  Either way
-the real entering and drive-out rules are evaluated at every step.  At the
-first step where they choose otherwise (an appended column would enter, or
-a last-bit difference of the reduced costs changes the choice) the solve
-rebuilds the full tableau from the last snapshot and continues with the
-ordinary simplex; a lean phase first rebuilds its full z row as the
-phase-start row minus each step's product, in the order a fresh solve
-subtracts them.  Each phase start computes `cb @ T` on the full-width
-tableau, as a fresh solve does, so the result equals a fresh solve's bit for
-bit (up to the sign of a zero, which the result normalizes); an LP that does
-not extend the recorded one is solved fresh.
+the real entering rule is evaluated at every step.  At the first step where
+it chooses otherwise (an appended column would enter, or a last-bit
+difference of the reduced costs changes the choice), or at a drive-out that
+finds an artificial still basic, the solve rebuilds the full tableau from
+the last snapshot and continues with the ordinary simplex; a lean phase
+first rebuilds its full z row as the phase-start row minus each step's
+product, in the order a fresh solve subtracts them.  Each phase start
+computes `cb @ T` on the full-width tableau, as a fresh solve does, so the
+result equals a fresh solve's bit for bit (up to the sign of a zero, which
+the result normalizes); an LP that does not extend the recorded one is
+solved fresh.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ class Replay:
     """
 
     def __init__(self):
-        self._lp = None  # (c, A, senses, b, tol) of the recorded solve
+        self._lp = None  # (c, A, senses, b) of the recorded solve
         self.steps: list[tuple] = []
         # step index -> the tableau before that step, as column blocks
         # (structural blocks in order, then the slack/artificial block)
@@ -97,14 +98,14 @@ class Replay:
         # step index -> the full reduced-cost row at a phase start
         self.starts: dict[int, np.ndarray] = {}
 
-    def _extended(self, c, A, senses, b, tol) -> int | None:
+    def _extended(self, c, A, senses, b) -> int | None:
         """Column count of the recorded LP if (c, A) only appends to it."""
         if self._lp is None:
             return None
-        c0, A0, senses0, b0, tol0 = self._lp
+        c0, A0, senses0, b0 = self._lp
         k = len(c0)
         if (
-            senses != senses0 or tol != tol0 or b.tobytes() != b0.tobytes()
+            senses != senses0 or b.tobytes() != b0.tobytes()
             or len(c) < k or c[:k].tobytes() != c0.tobytes()
             or A[:, :k].tobytes() != A0.tobytes()
         ):
@@ -112,8 +113,7 @@ class Replay:
         return k
 
 
-def solve_lp(c, A, senses, b, exact: bool = False, tol: float = _TOL,
-             replay: Replay | None = None) -> LpResult:
+def solve_lp(c, A, senses, b, exact: bool = False, replay: Replay | None = None) -> LpResult:
     m, n = len(A), len(c)
     if m != len(senses) or m != len(b):
         raise ValueError("A, senses and b must agree in length")
@@ -124,22 +124,22 @@ def solve_lp(c, A, senses, b, exact: bool = False, tol: float = _TOL,
             raise ValueError(f"bad sense {s!r}")
     if exact and replay is not None:
         raise ValueError("replay applies to the float path only")
-    return _solve(c, A, tuple(senses), b, exact, tol, replay)
+    return _solve(c, A, tuple(senses), b, exact, replay)
 
 
 _fractions = np.frompyfunc(Fraction, 1, 1)  # elementwise, exact from int or float
 
 
-def _solve(c, A, senses, b, exact, tol, replay) -> LpResult:
+def _solve(c, A, senses, b, exact, replay) -> LpResult:
     m, n = len(A), len(c)
     if exact:
         c, A, b = (_fractions(np.asarray(v, dtype=object)) for v in (c, A, b))
         zero, one, tol, infeasible = Fraction(0), Fraction(1), 0, 0
     else:
         c, A, b = (np.asarray(v, dtype=float) for v in (c, A, b))
-        zero, one, infeasible = 0.0, 1.0, _INFEASIBLE
+        zero, one, tol, infeasible = 0.0, 1.0, _TOL, _INFEASIBLE
     A = A.reshape(m, n)
-    n_old = replay._extended(c, A, senses, b, tol) if replay is not None else None
+    n_old = replay._extended(c, A, senses, b) if replay is not None else None
     rhs = b.copy()
     flipped = list(senses)
     row_sign = np.full(m, one, dtype=c.dtype)
@@ -187,7 +187,7 @@ def _solve(c, A, senses, b, exact, tol, replay) -> LpResult:
     if replay is not None:
         # only a finished solve is worth following: one that stopped early
         # has no record of the steps after its stop
-        lp = (c.copy(), A.copy(), senses, b.copy(), tol) if result == "optimal" else None
+        lp = (c.copy(), A.copy(), senses, b.copy()) if result == "optimal" else None
         replay._lp, replay.steps = lp, state.steps
         replay.snaps, replay.starts = state.snaps, state.starts
     if result != "optimal":
@@ -463,18 +463,7 @@ class _Tableau:
             if self.basis[r] < n_free:
                 continue
             if self._past is not None:
-                rec_r, e_old = self._past.steps[len(self.steps)][:2]
-                # an appended column precedes every recorded candidate but
-                # the old structural ones, so it is picked if it can pivot
-                if rec_r == r and (
-                    0 <= e_old < self._n_old or not np.any(np.abs(self.T[r, :-1]) > self.tol)
-                ):
-                    if e_old >= 0:
-                        self._replay_pivot(self._past.steps[len(self.steps)], costs=False)
-                    else:
-                        self._append((r, -1, 0.0, None, None))
-                    continue
-                self._diverge()
+                self._diverge()  # a record is followed through its phases only
             cand = np.flatnonzero(np.abs(self.T[r, :n_free]) > self.tol)
             if len(cand):
                 self._pivot(r, int(cand[0]), costs=False)
@@ -538,14 +527,12 @@ class _Tableau:
             return not top > self.tol
         return not (top > col[-1] or (top == col[-1] and e >= self._n_old))
 
-    def _replay_pivot(self, rec, costs=True):
+    def _replay_pivot(self, rec):
         """Apply the recorded pivot rec to the appended columns alone, and
         to the full z row unless the phase runs lean."""
         r, e, piv, col, row = rec
         _eliminate(self.T, r, piv, col, self._update)
-        if not costs:
-            row = None
-        elif self.z is None:
+        if self.z is None:
             row = _grown(row, self._n_old, self.T[r, :-1].copy())
         else:
             row = _full_row(row)

@@ -280,9 +280,11 @@ def test_replay_matches_fresh_solves(lp):
 
 
 def test_replay_follows_an_unchanged_lp_to_the_end():
+    # phase 1 leaves no artificial basic, so no drive-out stops the follower,
+    # and phase 2 pivots too
     c, A, senses, b = _cover_lp(
-        [(2.0, [1, 0, 0]), (2.0, [0, 1, 0]), (3.0, [0, 0, 1]), (3.0, [1, 1, 0]),
-         (4.0, [0, 1, 1])], 3, 2)
+        [(1.0, [1, 0, 0]), (2.0, [0, 1, 0]), (2.0, [0, 0, 1]), (1.0, [1, 1, 0]),
+         (4.0, [0, 1, 1])], 3, 3)
     replay = Replay()
     first = solve_lp(c, A, senses, b, replay=replay)
     again = solve_lp(c, A, senses, b, replay=replay)
@@ -325,7 +327,7 @@ DIVERGENCE_CASES = {
     "mid phase 1": ([2.0, 3.0], [[0, 1], [0, 1], [1, 0], [0, 1]], [">=", "=", ">=", "="],
                     (2.0, [0, 1, 0, 1]), ("phase1", 1)),
     "drive-out": ([1.0, 3.0, 1.0], [[1, 1, 1], [0, 1, 1], [1, 1, 1], [1, 1, 1]],
-                  ["=", ">=", "=", ">="], (2.0, [1, 0, 1, 0]), ("drive", 4)),
+                  ["=", ">=", "=", ">="], (2.0, [1, 0, 1, 0]), ("drive", 2)),
     "phase 2": ([3.0, 1.0, 3.0, 1.0], [[1, 0, 1, 1], [1, 1, 1, 1], [1, 1, 0, 0], [1, 1, 1, 1]],
                 [">=", ">=", "=", ">="], (1.0, [0, 1, 1, 0]), ("phase2", 6)),
 }
@@ -343,7 +345,8 @@ def test_replay_divergence(case, divergences):
     got = solve_lp(c2, A2, senses, b, replay=replay)
     assert divergences == [where]
     stage, k = where
-    # the recorded solve took a pivot at this step: the choice itself differed
+    # the recorded solve took a pivot at this step: in a phase the choice
+    # itself differed, and a follower leaves the record at any drive-out
     assert recorded[k][0] >= 0 and recorded[k][1] >= 0
     _same(got, solve_lp(c2, A2, senses, b))
     assert 0 < got.pivots and (got.replayed > 0) == (k > 0)
@@ -428,10 +431,9 @@ def lean_steps(monkeypatch):
     seen = {"lean": 0, "full": 0}
     replay_pivot = simplex._Tableau._replay_pivot
 
-    def counted(self, rec, costs=True):
-        if costs:
-            seen["lean" if self.z is None else "full"] += 1
-        replay_pivot(self, rec, costs)
+    def counted(self, rec):
+        seen["lean" if self.z is None else "full"] += 1
+        replay_pivot(self, rec)
 
     monkeypatch.setattr(simplex._Tableau, "_replay_pivot", counted)
     return seen
