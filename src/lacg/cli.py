@@ -112,7 +112,11 @@ def cmd_solve(args) -> int:
         single_column=args.single_column,
         time_limit=args.time_limit,
     )
-    res = solve(inst, config)
+    try:
+        res = solve(inst, config)
+    except InstanceError as exc:  # a fleet too small for the first master
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     arm = config.arm

@@ -32,7 +32,7 @@ import logging
 import time
 from dataclasses import dataclass, field
 
-from .instances import Instance, CostMatrix, cost_matrix
+from .instances import Instance, CostMatrix, InstanceError, cost_matrix
 from .neighbors import build_la_neighbors
 from .routes import DualSolution, reduced_cost
 from .arcs import compute_component_paths, ArcIndex
@@ -199,7 +199,9 @@ def solve(inst: Instance, config: CgConfig | None = None) -> CgResult:
         t1 = time.perf_counter()
         rmp_time += t1 - t0
         if sol.status != "optimal":
-            raise RuntimeError("restricted master became infeasible")
+            # only the first master can be infeasible: later ones add columns
+            raise InstanceError(f"{inst.name}: FLEET {inst.fleet} is too small for the "
+                                f"initial columns; the first restricted master is infeasible")
         duals = sol.duals
 
         res = price_elementary(

@@ -4,11 +4,13 @@ import logging
 import subprocess
 import sys
 
+import pytest
+
 from lacg import cli, driver
 from lacg.dssr import DssrResult
 from lacg.routes import make_route
 from lacg.cli import main, DATASET1, DATASET2
-from lacg.instances import read_instance, generate_instance, write_instance
+from lacg.instances import InstanceError, read_instance, generate_instance, write_instance
 
 
 def test_dataset_row_counts():
@@ -87,6 +89,19 @@ def test_solve_trace_byte_identical(tmp_path):
 def test_solve_missing_instance_exit_2(tmp_path):
     assert main(["solve", "--instance", str(tmp_path / "nope.txt"),
                  "--out", str(tmp_path)]) == 2
+
+
+def test_solve_fleet_too_small_exit_2(tmp_path, capsys):
+    # six customers with demands up to 10 need more than one vehicle of
+    # capacity 10, so the first restricted master is infeasible
+    inst = dataclasses.replace(generate_instance(3, 6, 10, "uniform_1_10"), fleet=1)
+    ipath = tmp_path / "tiny.txt"
+    write_instance(inst, ipath)
+    with pytest.raises(InstanceError, match="FLEET 1"):
+        driver.solve(inst, driver.CgConfig(la_k=0))
+    assert main(["solve", "--instance", str(ipath), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "FLEET 1" in err[0]
 
 
 def test_speedup_missing_arm_exit_2(tmp_path):
