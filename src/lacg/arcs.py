@@ -605,7 +605,6 @@ class ArcIndex:
         # groups shared across buckets: M1 only acts through its overlap with
         # la(u) (arc filtering) and with ng(v) (carried memory)
         self._groups: dict[tuple[int, int, int, int], dict] = {}
-        self._cores: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._reset_labels()
 
     # -- labels --------------------------------------------------------------
@@ -749,7 +748,6 @@ class ArcIndex:
         self._block_h = None
         self._buckets.clear()
         self._groups.clear()
-        self._cores.clear()
         self._reset_labels()
 
     def offset_rate(self) -> float:
@@ -792,17 +790,9 @@ class ArcIndex:
         return self.sets.ng_meeting(self.sets.la_mask(u) | bit(u) | m1)
 
     def _core(self, u: int, fkey: int):
-        """Group minima over arcs avoiding fkey (= M1 restricted to la(u)).
-
-        Depends on the bound duals only, so cores survive every ng-set
-        invalidation within a pricing call and are shared by all M1 values
-        with the same la-overlap.
-        """
+        """Group minima over arcs avoiding fkey (= M1 restricted to la(u))."""
         if fkey == 0:
             return self._base_dense[u], self._base_sink[u]
-        got = self._cores.get((u, fkey))
-        if got is not None:
-            return got
         cbar = self._cbar[u]
         own = self._rows(u)
         starts, gv, gz = own.starts, own.gv, own.gz
@@ -815,7 +805,6 @@ class ArcIndex:
         sink_pref = np.full(self.d0 + 1, np.inf)
         sink_pref[gz[~cust]] = mins[~cust]
         np.minimum.accumulate(sink_pref, out=sink_pref)
-        self._cores[(u, fkey)] = (dense, sink_pref)
         return dense, sink_pref
 
     def _build_bucket(self, u: int, m1: int) -> _Bucket:

@@ -4,7 +4,7 @@ elementary pricing until no negative-reduced-cost route exists.
 Per iteration the driver adds the exact pricing minimizer plus every bonus
 column the relaxation loop trimmed out along the way (single_column=True
 restricts to the minimizer alone).  Termination requires an *exact* pricing
-round with minimum reduced cost above -rc_stop_tol, which certifies LP
+round with minimum reduced cost above -RC_STOP_TOL, which certifies LP
 optimality over all elementary routes; the result then carries a
 Certificate, figures from which that claim can be checked.  A time limit is
 also passed into each pricing call as a deadline, so it bounds the work
@@ -41,6 +41,9 @@ from .rmp import Column, Master, make_column, initial_columns, solve_rmp, lagran
 
 log = logging.getLogger(__name__)
 
+RC_ADD_TOL = 1e-9  # a route enters the pool below -RC_ADD_TOL
+RC_STOP_TOL = 1e-6  # an exact pricing round at or above -RC_STOP_TOL ends the run
+
 
 @dataclass
 class CgConfig:
@@ -48,8 +51,6 @@ class CgConfig:
     cycle_rule: str = "min_nodes_added"
     early_exit: str = "off"
     single_column: bool = False
-    rc_add_tol: float = 1e-9
-    rc_stop_tol: float = 1e-6
     time_limit: float | None = None
     max_iterations: int | None = None
 
@@ -64,8 +65,6 @@ class TraceRow:
     rmp_objective: float
     min_reduced_cost: float
     lagrangian_bound: float
-    pricing_time: float
-    rmp_time: float
     dssr_iterations: int
     nodes_expanded: int
     edges_relaxed: int
@@ -221,14 +220,14 @@ def solve(inst: Instance, config: CgConfig | None = None) -> CgResult:
             lagrangian_bound(sol.objective, min_rc, inst.fleet)
             if res.exact else float("nan")
         )
-        if res.exact and min_rc >= -config.rc_stop_tol:
-            trace.rows.append(TraceRow(
-                iteration=it, rmp_objective=sol.objective, min_reduced_cost=min_rc,
-                lagrangian_bound=bound, pricing_time=t2 - t1, rmp_time=t1 - t0,
-                dssr_iterations=res.iterations, nodes_expanded=res.nodes_expanded,
-                edges_relaxed=res.edges_relaxed,
-                columns_added=0, pivots=sol.pivots, replayed=sol.replayed,
-            ))
+        row = TraceRow(
+            iteration=it, rmp_objective=sol.objective, min_reduced_cost=min_rc,
+            lagrangian_bound=bound, dssr_iterations=res.iterations,
+            nodes_expanded=res.nodes_expanded, edges_relaxed=res.edges_relaxed,
+            columns_added=0, pivots=sol.pivots, replayed=sol.replayed,
+        )
+        trace.rows.append(row)
+        if res.exact and min_rc >= -RC_STOP_TOL:
             status = "optimal"
             certificate = certify(inst, costs, columns, sol.theta, duals, sol.objective, min_rc)
             break
@@ -240,7 +239,7 @@ def solve(inst: Instance, config: CgConfig | None = None) -> CgResult:
         candidates[res.route.seq] = (res.route, res.reduced_cost)
         added = 0
         for route, rc in candidates.values():
-            if rc >= -config.rc_add_tol:
+            if rc >= -RC_ADD_TOL:
                 continue
             if route.seq in pool:
                 repeated += 1
@@ -249,17 +248,11 @@ def solve(inst: Instance, config: CgConfig | None = None) -> CgResult:
             pool.add(route.seq)
             columns.append(make_column(route, costs))
             added += 1
-        trace.rows.append(TraceRow(
-            iteration=it, rmp_objective=sol.objective, min_reduced_cost=min_rc,
-            lagrangian_bound=bound, pricing_time=t2 - t1, rmp_time=t1 - t0,
-            dssr_iterations=res.iterations, nodes_expanded=res.nodes_expanded,
-            edges_relaxed=res.edges_relaxed,
-            columns_added=added, pivots=sol.pivots, replayed=sol.replayed,
-        ))
+        row.columns_added = added
         out_of_time = deadline is not None and time.perf_counter() > deadline
         # a route priced negative but nothing new came of it; a call cut
         # short by the deadline with no negative route ends as time_limit
-        if added == 0 and (min_rc < -config.rc_add_tol or not out_of_time):
+        if added == 0 and (min_rc < -RC_ADD_TOL or not out_of_time):
             log.warning("no column added despite negative reduced cost; stopping")
             status = "stalled"
             break

@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 
 from .instances import Instance
 from .neighbors import NeighborSets, augment_ng
-from .routes import Route, DualSolution, reduced_cost, is_elementary, trim_to_elementary, special_indices
+from .routes import (Route, DualSolution, reduced_cost, is_elementary, trim_to_elementary,
+                     special_indices, repeat_pairs)
 from .arcs import ComponentPathTable, ArcIndex
 from .pricing import solve_la_pricing, compute_heuristic
 
@@ -78,29 +79,23 @@ def select_cycle(route: Route, sets: NeighborSets, inst: Instance,
     specials = special_indices(route, sets)
     d0 = inst.capacity
     candidates = []
-    positions: dict[int, list[int]] = {}
-    for pos, u in enumerate(seq, start=1):
-        positions.setdefault(u, []).append(pos)
-    for u, pos in positions.items():
-        for a in range(len(pos)):
-            for b in range(a + 1, len(pos)):
-                k1, k2 = pos[a], pos[b]
-                inside = [k3 for k3 in specials if k1 < k3 < k2]
-                targets = []
-                for k3 in inside:
-                    w = seq[k3 - 1]
-                    if w != u and not sets.has_ng(w, u) and w not in targets:
-                        targets.append(w)
-                if not targets:
-                    continue
-                if rule == "shortest_cycle":
-                    metric = len(inside)
-                else:
-                    metric = sum(
-                        (d0 - inst.demand[w] + 1) * (1 << sets.ng_mask(w).bit_count())
-                        for w in targets
-                    )
-                candidates.append((metric, k1, k2, u, tuple(targets)))
+    for u, k1, k2 in repeat_pairs(seq):
+        inside = [k3 for k3 in specials if k1 < k3 < k2]
+        targets = []
+        for k3 in inside:
+            w = seq[k3 - 1]
+            if w != u and not sets.has_ng(w, u) and w not in targets:
+                targets.append(w)
+        if not targets:
+            continue
+        if rule == "shortest_cycle":
+            metric = len(inside)
+        else:
+            metric = sum(
+                (d0 - inst.demand[w] + 1) * (1 << sets.ng_mask(w).bit_count())
+                for w in targets
+            )
+        candidates.append((metric, k1, k2, u, tuple(targets)))
     if not candidates:
         raise RuntimeError("no augmentable cycle found; relaxation cannot progress")
     metric, k1, k2, u, targets = min(candidates, key=lambda c: c[:3])

@@ -15,8 +15,6 @@ from .arcs import ComponentPathTable, LaArc
 from .routes import Route, make_route
 from . import simplex
 
-ROUTE_CLASSES = ("elementary", "ng", "la", "kq", "all_feasible")
-
 
 class EnumerationTooLarge(RuntimeError):
     pass

@@ -101,7 +101,8 @@ def special_indices(route: Route, sets: NeighborSets) -> tuple[int, ...]:
         out.append(nxt)
 
 
-def _repeat_pairs(seq):
+def repeat_pairs(seq):
+    """(u, k1, k2) for every two 1-based positions k1 < k2 of one customer u."""
     positions: dict[int, list[int]] = {}
     for i, u in enumerate(seq, start=1):
         positions.setdefault(u, []).append(i)
@@ -117,7 +118,7 @@ def is_elementary(route: Route) -> bool:
 
 def is_kq_route(route: Route, K: int) -> bool:
     seq = route.seq
-    for _, k1, k2 in _repeat_pairs(seq):
+    for _, k1, k2 in repeat_pairs(seq):
         if k2 <= min(len(seq), k1 + K):
             return False
     return True
@@ -125,7 +126,7 @@ def is_kq_route(route: Route, K: int) -> bool:
 
 def is_ng_route(route: Route, sets: NeighborSets) -> bool:
     seq = route.seq
-    for u, k1, k2 in _repeat_pairs(seq):
+    for u, k1, k2 in repeat_pairs(seq):
         ok = any(
             not sets.has_ng(seq[k3 - 1], u) for k3 in range(k1 + 1, k2)
         )
@@ -137,7 +138,7 @@ def is_ng_route(route: Route, sets: NeighborSets) -> bool:
 def is_la_route(route: Route, sets: NeighborSets) -> bool:
     seq = route.seq
     special = set(special_indices(route, sets))
-    for u, k1, k2 in _repeat_pairs(seq):
+    for u, k1, k2 in repeat_pairs(seq):
         ok = any(
             k3 in special and not sets.has_ng(seq[k3 - 1], u)
             for k3 in range(k1 + 1, k2)
