@@ -13,9 +13,10 @@ result is a function of the column list alone, so a run's duals, and with
 them its whole CG trajectory, repeat exactly.
 
 A `Master` keeps one run's LP between solves: a solve scatters only the
-columns appended since the last one onto its cover block and cost vector,
-and its `simplex.Replay` record lets the simplex replay the last solve's
-pivots on the new columns alone until a pivot choice differs.
+columns appended since the last one into a new block, which it concatenates
+onto its cover block, and extends its cost vector; its `simplex.Replay`
+record lets the simplex replay the last solve's pivots on the new columns
+alone until a pivot choice differs.
 The result is bit for bit the from-scratch one.  A warm start from the last
 basis is not used: it may stop at another optimal dual vertex.
 """
