@@ -49,6 +49,18 @@ def test_pinned_trajectory(la_k):
     ) == counters
 
 
+# la_k -> (RMP pivots on the full tableau, RMP pivots replayed from the
+# record), summed over the trace of the PINNED solve: how the simplex's work
+# splits between fresh pivots and the replay
+PIVOT_SPLIT = {0: (549, 554), 10: (776, 923)}
+
+
+@pytest.mark.parametrize("la_k", sorted(PIVOT_SPLIT))
+def test_pinned_pivot_split(la_k):
+    rows = solve(_instance(), CgConfig(la_k=la_k)).trace.rows
+    assert (sum(r.pivots for r in rows), sum(r.replayed for r in rows)) == PIVOT_SPLIT[la_k]
+
+
 # (seed, n, capacity, demand mode, la_k) -> sha256 of the repr of the list of
 # (route, nodes expanded, DSSR iterations, edges relaxed), one tuple per
 # pricing call of the solve; integers only, so the digest is a pure function
