@@ -21,32 +21,22 @@ get a consistent (primal, dual) pair with strong duality up to tolerance.
 
 Exact replay.  A float solve given a `Replay` record writes into it every
 step it takes: each pivot (pivot row r, entering column e, the pivot column
-with its z entry, and the pivot row after the update), each drive-out row
-and each phase end, the reduced-cost row at each phase start, and a tableau
-snapshot every SNAPSHOT_EVERY steps and at each phase start.  Every tableau
-operation acts on each column alone.  So when the next LP only appends
-columns to the recorded one, it re-applies the recorded pivots to the
-appended columns and the right-hand side alone.
-
-A phase whose reduced-cost row starts, on the old columns, byte for byte as
-the record's (phase 1 of a cover LP always does: its costs are 0/1 and its
-first tableau integral, so `cb @ T` is exact) runs lean: the old columns'
-reduced costs stay the record's at every step, so it decides from the
-recorded step and the appended columns' reduced costs alone, and the
-recorded pivot column updates the appended columns, the right-hand side,
-their z and the objective in one outer product.  Otherwise the phase also
-updates the full z row with the recorded pivot row at each step.  Either way
-the real entering rule is evaluated at every step.  At the first step where
-it chooses otherwise (an appended column would enter, or a last-bit
-difference of the reduced costs changes the choice), or at a drive-out that
-finds an artificial still basic, the solve rebuilds the full tableau from
-the last snapshot and continues with the ordinary simplex; a lean phase
-first rebuilds its full z row as the phase-start row minus each step's
-product, in the order a fresh solve subtracts them.  Each phase start
-computes `cb @ T` on the full-width tableau, as a fresh solve does, so the
-result equals a fresh solve's bit for bit (up to the sign of a zero, which
-the result normalizes); an LP that does not extend the recorded one is
-solved fresh.
+with its z entry, and the full pivot row after the update), each drive-out
+row and each phase end, and a tableau snapshot every SNAPSHOT_EVERY steps and
+at each phase start.  Every tableau operation acts on each column alone.  So
+when the next LP only appends columns to the recorded one, it re-applies the
+recorded pivots to the appended columns and the right-hand side alone.  The
+full z row is kept apart: each step subtracts from it the recorded pivot row,
+joined with the appended columns' row, as a fresh solve's pivot would.  The
+real entering rule is evaluated on that row at every step.  At the first
+step where it chooses otherwise (an appended column would enter, or a
+last-bit difference of the reduced costs changes the choice), or at a
+drive-out that finds an artificial still basic, the solve rebuilds the full
+tableau from the last snapshot and continues with the ordinary simplex.
+Each phase start computes `cb @ T` on the full-width tableau, as a fresh
+solve does, so the result equals a fresh solve's bit for bit (up to the sign
+of a zero, which the result normalizes); an LP that does not extend the
+recorded one is solved fresh.
 """
 
 from __future__ import annotations
@@ -64,8 +54,7 @@ SNAPSHOT_EVERY = 16  # steps between tableau snapshots of a Replay record
 # update, without the right-hand side).  The pivot column has col[r] = 0 and,
 # last, the entering column's z before the step (0 for a drive-out pivot,
 # which keeps no row).  A phase end has r = -1; a drive-out row left without
-# a pivot has e = -1.  Neither carries arrays.  A row recorded by a lean step
-# is lazy, see `_grown`.
+# a pivot has e = -1.  Neither carries arrays.
 _END = (-1, -1, 0.0, None, None)
 
 
@@ -95,8 +84,6 @@ class Replay:
         # step index -> the tableau before that step, as column blocks
         # (structural blocks in order, then the slack/artificial block)
         self.snaps: dict[int, tuple] = {}
-        # step index -> the full reduced-cost row at a phase start
-        self.starts: dict[int, np.ndarray] = {}
 
     def _extended(self, c, A, senses, b) -> int | None:
         """Column count of the recorded LP if (c, A) only appends to it."""
@@ -189,7 +176,7 @@ def _solve(c, A, senses, b, exact, replay) -> LpResult:
         # has no record of the steps after its stop
         lp = (c.copy(), A.copy(), senses, b.copy()) if result == "optimal" else None
         replay._lp, replay.steps = lp, state.steps
-        replay.snaps, replay.starts = state.snaps, state.starts
+        replay.snaps = state.snaps
     if result != "optimal":
         return LpResult(result, [zero] * n, None if exact else float("nan"), [zero] * m,
                         state.pivots, state.replayed)
@@ -199,7 +186,7 @@ def _solve(c, A, senses, b, exact, replay) -> LpResult:
     for i, j in enumerate(state.basis):
         if j < n:
             x[j] += rhs[i]
-    z = state.z_row()
+    z = state.z
     # a zero product of BLAS may be +0.0 where an elementwise one is -0.0, and
     # a replay and a fresh solve form some products differently; adding zero
     # turns -0.0 into 0.0 and leaves every other value, and any Fraction, as it is
@@ -246,27 +233,6 @@ def _eliminate_exact(T, r, piv, col, _upd) -> None:
     T[np.ix_(rows, cols)] -= np.multiply.outer(col[rows], T[r, cols])
 
 
-def _grown(row, j, block):
-    """The pivot row of a lean step: `row` with `block` inserted at j, lazily.
-
-    `row` is the recorded step's pivot row and j the number of structural
-    columns in its layout.  A lazy row is (base, j, blocks), the full row
-    being base[:j], the blocks, then base[j:]: every solve appends its
-    columns after the structural ones.  `_full_row` joins it when read.
-    """
-    if isinstance(row, tuple):
-        base, j, blocks = row
-        return base, j, blocks + (block,)
-    return row, j, (block,)
-
-
-def _full_row(row):
-    if isinstance(row, tuple):
-        base, j, blocks = row
-        return np.concatenate((base[:j], *blocks, base[j:]))
-    return row
-
-
 class _Tableau:
     """The tableau [A | rhs] over [z | objective], z the negated reduced costs.
 
@@ -278,8 +244,7 @@ class _Tableau:
     right-hand side, z and the objective as separate vector operations
     would, product for product.
     While following a record, T holds only the columns appended since, and
-    the full z row is kept apart, or in a lean phase (z is None) not kept
-    until `z_row` rebuilds it.
+    the full z row is kept apart in z.
     """
 
     def __init__(self, struct, units, rhs, basis, tol, exact=False, past=None, n_old=0):
@@ -292,7 +257,6 @@ class _Tableau:
         self.replayed = 0
         self.steps = []  # this solve's record, see _END
         self.snaps = {}
-        self.starts = {}
         self._n = n  # structural columns
         self._N = n + units.shape[1]
         # while following `past` (the previous solve's Replay), the appended
@@ -313,7 +277,6 @@ class _Tableau:
         self.T = T
         self._update = np.empty_like(T)  # rank-1 update, reused by every pivot
         self.z = T[m, :-1] if past is None else None
-        self._lean_from = 0  # step index at which a lean phase started
 
     def set_costs(self, costs):
         # a phase starts from the full tableau, as in a fresh solve, and the
@@ -328,40 +291,14 @@ class _Tableau:
         self.snaps[k] = (C[:, :self._n], C[:, self._n:])
         cb = costs[self.basis]
         d = costs - cb @ C
-        self.starts[k] = d
         T[m, -1] = cb @ T[:m, -1].copy()
         if self._past is None:
             T[m, :-1] = -d
-            return
-        j, s = self._n_old, self._shift
-        T[m, :-1] = -d[j:j + s]
-        self.z = -d
-        # the old columns start as in the record: their reduced costs stay
-        # the record's, so the phase can run lean
-        start = self._past.starts.get(k)
-        if start is not None and d[:j].tobytes() == start[:j].tobytes() \
-                and d[j + s:].tobytes() == start[j:].tobytes():
-            self.z = None
-            self._lean_from = k
+        else:
+            self.z = -d  # T's own z entries go unread while following
 
     def objective(self):
         return self.T[self.m, -1]
-
-    def z_row(self):
-        """The full z row, rebuilt here if a lean phase left it behind: the
-        phase-start row less each step's product, in a fresh solve's order."""
-        if self.z is None:
-            k = self._lean_from
-            z = -self.starts[k]
-            for i in range(k, len(self.steps)):
-                r, e, piv, col, row = self.steps[i]
-                if col is None:
-                    continue  # the phase end
-                row = _full_row(row)
-                self.steps[i] = (r, e, piv, col, row)  # later reads skip the join
-                z -= col[-1] * row
-            self.z = z
-        return self.z
 
     def optimize(self, limit) -> str:
         """Pivot to optimality; only columns below `limit` may enter."""
@@ -386,17 +323,6 @@ class _Tableau:
 
     def _step(self, limit, bland) -> str | None:
         """Take one step; return the phase's status if the step ends it."""
-        if self.z is None:  # a lean phase
-            rec = self._past.steps[len(self.steps)]
-            if not bland and self._lean_follows(rec):
-                if rec[0] < 0:
-                    self._append(_END)
-                    return "optimal"
-                self._replay_pivot(rec)
-                return None
-            # an appended column enters here, or Bland's rule needs every
-            # column: go on from this step at full width
-            self.z_row()
         e = self._entering(limit, bland)
         if self._past is not None and not self._follows(e):
             self._diverge()
@@ -510,35 +436,14 @@ class _Tableau:
             return r == -1
         return r >= 0 and e_old >= 0 and self._new_index(e_old) == e
 
-    def _lean_follows(self, rec) -> bool:
-        """Whether the recorded step rec is the real choice in a lean phase.
-
-        The old columns' z equal the record's, so an appended column enters
-        instead only if its z is above the recorded one's, or equal to it and
-        the recorded column comes after it (as the old slack and artificial
-        columns do); at a recorded phase end, if its z is above tol.
-        """
-        z = self.T[self.m, :-1]
-        if not len(z):
-            return True
-        top = z[z.argmax()]
-        r, e, _, col, _ = rec
-        if r < 0:
-            return not top > self.tol
-        return not (top > col[-1] or (top == col[-1] and e >= self._n_old))
-
     def _replay_pivot(self, rec):
-        """Apply the recorded pivot rec to the appended columns alone, and
-        to the full z row unless the phase runs lean."""
+        """Apply the recorded pivot rec to the appended columns and to the
+        full z row."""
         r, e, piv, col, row = rec
         _eliminate(self.T, r, piv, col, self._update)
-        if self.z is None:
-            row = _grown(row, self._n_old, self.T[r, :-1].copy())
-        else:
-            row = _full_row(row)
-            j = self._n_old
-            row = np.concatenate((row[:j], self.T[r, :-1], row[j:]))
-            self.z -= col[-1] * row
+        j = self._n_old
+        row = np.concatenate((row[:j], self.T[r, :-1], row[j:]))
+        self.z -= col[-1] * row
         e = self._new_index(e)
         self.basis[r] = e
         self.replayed += 1
@@ -557,7 +462,7 @@ class _Tableau:
         T = np.empty((m + 1, self._N + 1))
         T[:m, :-1] = C
         T[:, -1] = self.T[:, -1]  # the right-hand side and objective
-        T[m, :-1] = 0.0 if self.z is None else self.z  # z is not read before a phase start
+        T[m, :-1] = self.z
         self.T = T
         self._update = np.empty_like(T)
         self.z = T[m, :-1]

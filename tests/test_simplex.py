@@ -385,7 +385,7 @@ def test_replay_is_float_only():
         solve_lp([1], [[1]], [">="], [1], exact=True, replay=Replay())
 
 
-# -- one-product elimination and lean phases ----------------------------------
+# -- one-product elimination -------------------------------------------------
 
 
 def _three_pass(T, r, piv, col):
@@ -420,42 +420,12 @@ def test_eliminate_matches_three_passes(m, width, seed, zeros):
     assert got[nz].tobytes() == want[nz].tobytes()
 
 
-# singletons plus three pairs over five rows: an integral cover LP
-_COVER5 = [(3.0, [int(i == j) for i in range(5)]) for j in range(5)] + [
-    (4.0, [1, 1, 0, 0, 0]), (4.5, [0, 0, 1, 1, 0]), (2.5, [0, 1, 0, 0, 1])]
-
-
-@pytest.fixture
-def lean_steps(monkeypatch):
-    """Counts of replayed pivots that ran lean and that ran at full width."""
-    seen = {"lean": 0, "full": 0}
-    replay_pivot = simplex._Tableau._replay_pivot
-
-    def counted(self, rec):
-        seen["lean" if self.z is None else "full"] += 1
-        replay_pivot(self, rec)
-
-    monkeypatch.setattr(simplex._Tableau, "_replay_pivot", counted)
-    return seen
-
-
-def test_lean_phase_engages_on_a_cover_lp(lean_steps):
-    # phase 1 of an integral cover LP starts as recorded, so a solve that
-    # appends a column replays it lean, and still equals a fresh solve
-    replay = Replay()
-    solve_lp(*_cover_lp(_COVER5, 5, 3), replay=replay)
-    lp = _cover_lp(_COVER5 + [(9.0, [1, 0, 0, 0, 1])], 5, 3)
-    got = solve_lp(*lp, replay=replay)
-    assert lean_steps["lean"] > 0
-    _same(got, solve_lp(*lp))
-
-
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.integers(2, 6), st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=5))
 def test_replay_matches_fresh_solves_on_float_data(m, seeds):
     # fractional costs, coefficients and right-hand sides: no phase start is
-    # exact by construction, so phases run lean where their start repeats
-    # the record's bytes and at full width where it does not
+    # exact by construction, so the full z row a follower keeps must match a
+    # fresh solve's through rounded products
     replay = Replay()
     c, A = [], [[] for _ in range(m)]
     b = list(np.random.default_rng(seeds[0]).uniform(0.5, 2.0, m))
@@ -470,19 +440,3 @@ def test_replay_matches_fresh_solves_on_float_data(m, seeds):
         want = solve_lp(*lp)
         if want.status == "optimal":
             _same(got, want)
-
-
-@pytest.mark.parametrize("where", [0, -1])
-def test_replay_without_a_matching_phase_start_runs_full_width(lean_steps, where):
-    # the record's phase-1 start row changed in its last bit, under an old
-    # structural column (0) or an old artificial one (-1), which the
-    # appended columns shift: the guard keeps the phase at full width, with
-    # the same result
-    replay = Replay()
-    solve_lp(*_cover_lp(_COVER5, 5, 3), replay=replay)
-    start = replay.starts[0]
-    start[where] = np.nextafter(start[where], np.inf)
-    lp = _cover_lp(_COVER5 + [(9.0, [1, 0, 0, 0, 1])], 5, 3)
-    got = solve_lp(*lp, replay=replay)
-    assert got.replayed > 0 and lean_steps["lean"] == 0 and lean_steps["full"] > 0
-    _same(got, solve_lp(*lp))
