@@ -58,20 +58,23 @@ def initial_columns(inst: Instance, costs: CostMatrix) -> list[Column]:
     """One real single-customer route per customer.
 
     With a fleet smaller than n those alone are infeasible, so the routes of
-    one packing of the customers in id order are added (a route closes when
-    the next customer does not fit); the RMP is then feasible whenever that
-    packing needs at most the fleet.
+    one first-fit decreasing packing of the customers are added (largest
+    demand first, ties in id order; each goes to the first route it fits);
+    the RMP is then feasible whenever that packing needs at most the fleet.
     """
     cols = [make_column(make_route([u], inst), costs) for u in inst.customers]
     if inst.fleet < inst.n:
-        packed = [[]]
-        load = 0
-        for u in inst.customers:
-            if load + inst.demand[u] > inst.capacity:
-                packed.append([])
-                load = 0
-            packed[-1].append(u)
-            load += inst.demand[u]
+        packed, loads = [], []
+        for u in sorted(inst.customers, key=lambda u: -inst.demand[u]):
+            d = inst.demand[u]
+            for i, load in enumerate(loads):
+                if load + d <= inst.capacity:
+                    packed[i].append(u)
+                    loads[i] += d
+                    break
+            else:
+                packed.append([u])
+                loads.append(d)
         cols += [make_column(make_route(r, inst), costs) for r in packed if len(r) > 1]
     return cols
 

@@ -104,6 +104,22 @@ def test_solve_fleet_too_small_exit_2(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: ") and "FLEET 1" in err[0]
 
 
+def test_solve_short_fleet_packs_first_fit_decreasing(tmp_path, capsys):
+    # demands 6, 6, 4, 4 under capacity 10: packed in id order they need
+    # three routes, but {1, 3} and {2, 4} serve them with the two vehicles
+    ipath = tmp_path / "pack2.txt"
+    ipath.write_text("NAME pack2\nN 4\nCAPACITY 10\nFLEET 2\nDEPOT 0 0\n"
+                     "CUST 1 10 0 6\nCUST 2 0 10 6\nCUST 3 -10 0 4\nCUST 4 0 -10 4\n")
+    out = tmp_path / "r"
+    assert main(["solve", "--instance", str(ipath), "--out", str(out)]) == 0
+    assert "certificate holds: min_cover=" in capsys.readouterr().out
+    with open(next(out.glob("summary_*.csv"))) as f:
+        row = next(csv.DictReader(f))
+    assert row["status"] == "optimal"
+    assert float(row["min_cover"]) >= 1 - 1e-6
+    assert float(row["theta_sum"]) <= 2 + 1e-6
+
+
 def test_speedup_missing_arm_exit_2(tmp_path):
     (tmp_path / "summary_x_la0.csv").write_text(
         "instance,arm,status,objective,iterations,total_secs,pricing_secs,rmp_secs,setup_secs\n"
