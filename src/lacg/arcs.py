@@ -10,10 +10,11 @@ Each owner u runs one subset dynamic program (Held & Karp), forward by
 subset size, over la(u)-local bits: bit j stands for la(u)[j].  la(u) is
 sorted and has at most MAX_LA_SIZE members, so the bits fit a uint32 for any
 number of customers, and local masks order subsets exactly as their global
-masks do.  Owners with la sets of one size run their programs together, one
-subset size at a time; demands are positive, so the sizes stop at the first
-one where no subset fits a vehicle.  A size is a few whole-array passes over
-every (subset, member) pair of those owners, one per table:
+masks do.  Every la set has the same size, so all owners run their programs
+together, one subset size at a time; demands are positive, so the sizes stop
+at the first one where no subset fits a vehicle.  A size is a few
+whole-array passes over every (subset, member) pair of the owners, one per
+table:
 
   seg  (S, v, w) : cheapest path visiting exactly S, from v to w, v, w in S:
                    min over y of c(v, y) + seg(S - v, y, w).
@@ -136,20 +137,23 @@ class ComponentPathTable:
       _arc_cost[u]    (targets, subsets) cost of arc (u, target t, subset j)
       _arc_wstar[u]   its last customer before the target
 
-    _build runs the owners with la sets of one size together: an owner's DP
-    layers and subset arrays are slices of arrays stacked over those owners
-    (an owner's subsets of one size have consecutive ids).
+    Every la set must have the same size (LaSizeError otherwise), and _build
+    runs all owners together: an owner's DP layers and subset arrays are
+    slices of arrays stacked over the owners (an owner's subsets of one size
+    have consecutive ids).
     Its arc grid is a view of _arc_cells, every owner's grid raveled, in
     customer order; ArcIndex gathers the fitting rows from there.
     """
 
     def __init__(self, inst: Instance, sets: NeighborSets, costs: CostMatrix | None = None):
-        for u in inst.customers:
-            if len(sets.la(u)) > MAX_LA_SIZE:
-                raise LaSizeError(
-                    f"la neighborhood of {u} has {len(sets.la(u))} members; "
-                    f"subset tables are limited to {MAX_LA_SIZE}"
-                )
+        sizes = {len(sets.la(u)) for u in inst.customers}
+        if len(sizes) > 1:
+            raise LaSizeError(f"la neighborhoods have sizes {sorted(sizes)}; "
+                              f"the subset tables need one size")
+        (k,) = sizes
+        if k > MAX_LA_SIZE:
+            raise LaSizeError(f"la neighborhoods have {k} members; "
+                              f"subset tables are limited to {MAX_LA_SIZE}")
         self.inst = inst
         self.sets = sets
         self.costs = costs or cost_matrix(inst)
@@ -170,19 +174,7 @@ class ComponentPathTable:
         self._targets: dict[int, np.ndarray] = {}
         self._arc_cost: dict[int, np.ndarray] = {}
         self._arc_wstar: dict[int, np.ndarray] = {}
-        by_k: dict[int, list[int]] = {}
-        for u in inst.customers:
-            by_k.setdefault(len(sets.la(u)), []).append(u)
-        cells = [self._build(owners, k) for k, owners in by_k.items()]
-        if len(cells) == 1:
-            self._arc_cells = cells[0]
-        else:  # owners of different la sizes: one buffer in customer order
-            self._arc_cells = np.concatenate([self._arc_cost[u].ravel() for u in inst.customers])
-            at = 0
-            for u in inst.customers:
-                shape = self._arc_cost[u].shape
-                self._arc_cost[u] = self._arc_cells[at:at + shape[0] * shape[1]].reshape(shape)
-                at += shape[0] * shape[1]
+        self._arc_cells = self._build(k)
 
     # -- helpers -----------------------------------------------------------
 
@@ -217,10 +209,10 @@ class ComponentPathTable:
 
     # -- construction ------------------------------------------------------
 
-    def _build(self, owners: list[int], k: int) -> np.ndarray:
-        """Subsets, subset DP and arc grids of owners whose la sets all have k
-        members, in la-local bits; returns their grids raveled, owner by
-        owner, of which the owners' _arc_cost are views.
+    def _build(self, k: int) -> np.ndarray:
+        """Subsets, subset DP and arc grids of every owner, whose la sets all
+        have k members, in la-local bits; returns the grids raveled, owner by
+        owner in customer order, of which the owners' _arc_cost are views.
 
         The owners' subsets are stacked owner by owner: subset g of the stack
         is id g - off[o] of its owner o, and an owner's DP tables are slices
@@ -229,6 +221,7 @@ class ComponentPathTable:
         keeps the layer's temporaries small enough to stay in cache.
         """
         inst = self.inst
+        owners = inst.customers
         m = self.costs.m  # customers index as themselves
         n_o = len(owners)
         us = np.array(owners, dtype=np.intp)

@@ -107,9 +107,7 @@ def cmd_solve(args) -> int:
         return 2
     config = CgConfig(
         la_k=args.la_neighbors,
-        cycle_rule="min_nodes_added" if args.cycle_rule == "min-nodes" else "shortest_cycle",
         early_exit="first_negative" if args.early_exit == "first-negative" else "off",
-        single_column=args.single_column,
         time_limit=args.time_limit,
     )
     try:
@@ -153,22 +151,29 @@ def cmd_solve(args) -> int:
     return SOLVE_EXIT[res.status]
 
 
-def _read_summaries(dirpath: Path) -> dict[tuple[str, str], dict]:
+def _read_summaries(dirpath: Path) -> dict[tuple[str, str], dict] | None:
+    """Runs by (instance, arm); None, after an error line, if a file is malformed."""
     runs = {}
     for path in sorted(dirpath.glob("summary_*.csv")):
         with open(path, newline="", encoding="utf-8") as f:
-            for row in csv.DictReader(f):
-                runs[(row["instance"], row["arm"])] = {
-                    "status": row["status"],
-                    "total": float(row["total_secs"]),
-                    "pricing": float(row["pricing_secs"]),
-                }
+            try:
+                for row in csv.DictReader(f):
+                    runs[(row["instance"], row["arm"])] = {
+                        "status": row["status"],
+                        "total": float(row["total_secs"]),
+                        "pricing": float(row["pricing_secs"]),
+                    }
+            except (KeyError, TypeError, ValueError) as exc:  # a missing column or a bad time
+                print(f"error: malformed summary {path}: {exc!r}", file=sys.stderr)
+                return None
     return runs
 
 
 def cmd_speedup(args) -> int:
     dirpath = Path(args.dir)
     runs = _read_summaries(dirpath)
+    if runs is None:
+        return 2
     if not runs:
         print(f"error: no summary files in {dirpath}", file=sys.stderr)
         return 2
@@ -249,6 +254,13 @@ def cmd_oracle_suite(args) -> int:
 LOG_LEVELS = ("debug", "info", "warning", "error")
 
 
+def _seconds(text: str) -> float:
+    secs = float(text)
+    if not secs >= 0:  # NaN compares false: it would never end the run
+        raise argparse.ArgumentTypeError(f"need seconds >= 0, not {text!r}")
+    return secs
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="lacg", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
@@ -265,10 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", parents=[common], help="run one instance with one arm")
     s.add_argument("--instance", required=True)
     s.add_argument("--la-neighbors", type=int, choices=(0, 5, 10), default=0)
-    s.add_argument("--cycle-rule", choices=("min-nodes", "shortest"), default="min-nodes")
     s.add_argument("--early-exit", choices=("off", "first-negative"), default="off")
-    s.add_argument("--single-column", action="store_true")
-    s.add_argument("--time-limit", type=float, default=None)
+    s.add_argument("--time-limit", type=_seconds, default=None)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_solve)
 

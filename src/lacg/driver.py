@@ -2,11 +2,10 @@
 elementary pricing until no negative-reduced-cost route exists.
 
 Per iteration the driver adds the exact pricing minimizer plus every bonus
-column the relaxation loop trimmed out along the way (single_column=True
-restricts to the minimizer alone).  Termination requires an *exact* pricing
-round with minimum reduced cost above -RC_STOP_TOL, which certifies LP
-optimality over all elementary routes; the result then carries a
-Certificate, figures from which that claim can be checked.  A time limit is
+column the relaxation loop trimmed out along the way.  Termination requires
+an *exact* pricing round with minimum reduced cost above -RC_STOP_TOL, which
+certifies LP optimality over all elementary routes; the result then carries
+a Certificate, figures from which that claim can be checked.  A time limit is
 also passed into each pricing call as a deadline, so it bounds the work
 inside a call, not only between calls; the first search of a call and one
 RMP solve can still run past it.
@@ -30,27 +29,24 @@ from __future__ import annotations
 import csv
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 from .instances import Instance, CostMatrix, InstanceError, cost_matrix
 from .neighbors import build_la_neighbors
 from .routes import DualSolution, reduced_cost
 from .arcs import compute_component_paths, ArcIndex
-from .dssr import price_elementary
+from .dssr import RC_ADD_TOL, price_elementary
 from .rmp import Column, Master, make_column, initial_columns, solve_rmp, lagrangian_bound
 
 log = logging.getLogger(__name__)
 
-RC_ADD_TOL = 1e-9  # a route enters the pool below -RC_ADD_TOL
 RC_STOP_TOL = 1e-6  # an exact pricing round at or above -RC_STOP_TOL ends the run
 
 
 @dataclass
 class CgConfig:
     la_k: int = 5
-    cycle_rule: str = "min_nodes_added"
     early_exit: str = "off"
-    single_column: bool = False
     time_limit: float | None = None
     max_iterations: int | None = None
 
@@ -61,6 +57,9 @@ class CgConfig:
 
 @dataclass
 class TraceRow:
+    """One trace CSV row, columns in field order; wall times are excluded on
+    purpose: trace files must be reproducible."""
+
     iteration: int
     rmp_objective: float
     min_reduced_cost: float
@@ -73,14 +72,6 @@ class TraceRow:
     replayed: int  # RMP simplex pivots taken from the replay record
 
 
-# wall times are excluded on purpose: trace files must be reproducible
-TRACE_CSV_FIELDS = (
-    "iteration", "rmp_objective", "min_reduced_cost", "lagrangian_bound",
-    "dssr_iterations", "nodes_expanded", "edges_relaxed", "columns_added", "pivots",
-    "replayed",
-)
-
-
 @dataclass
 class CgTrace:
     rows: list[TraceRow] = field(default_factory=list)
@@ -88,14 +79,8 @@ class CgTrace:
     def write_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as f:
             w = csv.writer(f)
-            w.writerow(TRACE_CSV_FIELDS)
-            for r in self.rows:
-                w.writerow([
-                    r.iteration, repr(r.rmp_objective), repr(r.min_reduced_cost),
-                    repr(r.lagrangian_bound), r.dssr_iterations,
-                    r.nodes_expanded, r.edges_relaxed, r.columns_added, r.pivots,
-                    r.replayed,
-                ])
+            w.writerow(fd.name for fd in fields(TraceRow))
+            w.writerows(astuple(r) for r in self.rows)
 
 
 @dataclass(frozen=True)
@@ -205,8 +190,7 @@ def solve(inst: Instance, config: CgConfig | None = None) -> CgResult:
 
         res = price_elementary(
             inst, sets, table, duals,
-            cycle_rule=config.cycle_rule, early_exit=config.early_exit, index=index,
-            deadline=deadline,
+            early_exit=config.early_exit, index=index, deadline=deadline,
         )
         t2 = time.perf_counter()
         pricing_time += t2 - t1
@@ -232,10 +216,7 @@ def solve(inst: Instance, config: CgConfig | None = None) -> CgResult:
             certificate = certify(inst, costs, columns, sol.theta, duals, sol.objective, min_rc)
             break
 
-        candidates: dict[tuple, tuple] = {}
-        if not config.single_column:
-            for route, rc in res.early_columns:
-                candidates[route.seq] = (route, rc)
+        candidates = {route.seq: (route, rc) for route, rc in res.early_columns}
         candidates[res.route.seq] = (res.route, res.reduced_cost)
         added = 0
         for route, rc in candidates.values():

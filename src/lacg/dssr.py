@@ -7,13 +7,12 @@ customers strictly inside the cycle, and drop the stale cached arc groups.
 The relaxed optimum can only rise as ng sets grow, so when it comes back
 elementary it is the exact minimum over elementary routes.
 
-Cycle choice is configurable: `shortest_cycle` counts special indices inside
-the cycle; `min_nodes_added` (default) estimates pricing-graph growth as
-(capacity - demand(w) + 1) * 2^{|ng(w)|} summed over the customers whose set
-would actually grow.
+The cycle chosen is the one with the least estimated pricing-graph growth,
+(capacity - demand(w) + 1) * 2^{|ng(w)|} summed over the customers w whose
+set would actually grow.
 
 Every non-elementary relaxed route is also trimmed to its first visits; any
-trim with negative reduced cost is collected as a bonus column, and with
+trim priced below -RC_ADD_TOL is collected as a bonus column, and with
 early_exit="first_negative" the call returns such a column immediately
 (flagged inexact, so the caller still owes a final exact call before
 declaring convergence).  A `deadline` (a time.perf_counter() value) is
@@ -34,7 +33,7 @@ from .routes import (Route, DualSolution, reduced_cost, is_elementary, trim_to_e
 from .arcs import ComponentPathTable, ArcIndex
 from .pricing import solve_la_pricing, compute_heuristic
 
-CYCLE_RULES = ("min_nodes_added", "shortest_cycle")
+RC_ADD_TOL = 1e-9  # a route enters the pool below -RC_ADD_TOL
 EARLY_EXIT = ("off", "first_negative")
 
 
@@ -68,11 +67,8 @@ class DssrResult:
     edges_relaxed: int = 0  # likewise
 
 
-def select_cycle(route: Route, sets: NeighborSets, inst: Instance,
-                 rule: str = "min_nodes_added") -> CycleChoice:
+def select_cycle(route: Route, sets: NeighborSets, inst: Instance) -> CycleChoice:
     """Pick the cycle to forbid next; route must be non-elementary."""
-    if rule not in CYCLE_RULES:
-        raise ValueError(f"unknown cycle rule {rule!r}")
     if is_elementary(route):
         raise ValueError("select_cycle needs a route with a repeated customer")
     seq = route.seq
@@ -88,13 +84,8 @@ def select_cycle(route: Route, sets: NeighborSets, inst: Instance,
                 targets.append(w)
         if not targets:
             continue
-        if rule == "shortest_cycle":
-            metric = len(inside)
-        else:
-            metric = sum(
-                (d0 - inst.demand[w] + 1) * (1 << sets.ng_mask(w).bit_count())
-                for w in targets
-            )
+        metric = sum((d0 - inst.demand[w] + 1) * (1 << sets.ng_mask(w).bit_count())
+                     for w in targets)
         candidates.append((metric, k1, k2, u, tuple(targets)))
     if not candidates:
         raise RuntimeError("no augmentable cycle found; relaxation cannot progress")
@@ -104,7 +95,6 @@ def select_cycle(route: Route, sets: NeighborSets, inst: Instance,
 
 def price_elementary(inst: Instance, sets: NeighborSets, table: ComponentPathTable,
                      duals: DualSolution, *,
-                     cycle_rule: str = "min_nodes_added",
                      early_exit: str = "off",
                      index: ArcIndex | None = None,
                      deadline: float | None = None) -> DssrResult:
@@ -163,16 +153,16 @@ def price_elementary(inst: Instance, sets: NeighborSets, table: ComponentPathTab
         rc_trim = reduced_cost(trimmed, duals, costs)
         if rc_trim < best_rc:
             best_elem, best_rc = trimmed, rc_trim
-        if rc_trim < -1e-9 and trimmed.seq not in early_seen:
+        if rc_trim < -RC_ADD_TOL and trimmed.seq not in early_seen:
             early_seen.add(trimmed.seq)
             early.append((trimmed, rc_trim))
-        choice = select_cycle(route, sets, inst, rule=cycle_rule)
+        choice = select_cycle(route, sets, inst)
         log.append(DssrIteration(
             objective=res.reduced_cost, seq=route.seq, elementary=False,
             cycle=choice, ng_total=sets.ng_size_total(),
             nodes_expanded=res.diagnostics.nodes_expanded,
         ))
-        if early_exit == "first_negative" and rc_trim < -1e-9:
+        if early_exit == "first_negative" and rc_trim < -RC_ADD_TOL:
             return result(trimmed, rc_trim, False)
         if deadline is not None and time.perf_counter() >= deadline:
             return result(best_elem, best_rc, False)

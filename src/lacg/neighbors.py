@@ -44,15 +44,10 @@ def ids_of(mask: int) -> tuple[int, ...]:
 class NeighborSets:
     """Per-customer la (fixed) and ng (growable) neighbor sets."""
 
-    def __init__(self, la: dict[int, tuple[int, ...]], la_size: int):
-        self.la_size = la_size
+    def __init__(self, la: dict[int, tuple[int, ...]]):
         self._la = la
         self._la_mask = {u: mask_of(nbrs) for u, nbrs in la.items()}
         self._ng_mask = {u: 0 for u in la}
-
-    @property
-    def customers(self) -> tuple[int, ...]:
-        return tuple(self._la)
 
     def la(self, u: int) -> tuple[int, ...]:
         if u in (START_DEPOT, END_DEPOT):
@@ -101,7 +96,7 @@ def build_la_neighbors(inst: Instance, k: int, costs: CostMatrix | None = None) 
     # each row by cost, then id
     nearest = np.lexsort((np.broadcast_to(np.arange(n), dist.shape), dist))[:, :min(k, n - 1)]
     rows = (np.sort(nearest, axis=1) + 1).tolist()
-    return NeighborSets({u: tuple(row) for u, row in zip(inst.customers, rows)}, k)
+    return NeighborSets({u: tuple(row) for u, row in zip(inst.customers, rows)})
 
 
 def augment_ng(sets: NeighborSets, w: int, u: int) -> bool:

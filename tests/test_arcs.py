@@ -321,30 +321,13 @@ def test_inner_costs_u_independent():
                     seen[key] = got
 
 
-def test_mixed_la_sizes_match_uniform_tables():
-    # owners with la sets of different sizes are built in separate stacks;
-    # each owner's arrays equal those of a table with one la size, and the
-    # arc grids are views of one buffer in customer order
+def test_arc_grids_share_one_buffer():
+    # every owner's arc grid is a view of one buffer, in customer order
     inst = generate_instance(105, 16, 20, "uniform_1_10")
     cm = cost_matrix(inst)
-    uniform = {k: compute_component_paths(inst, build_la_neighbors(inst, k, cm), cm)
-               for k in (2, 5)}
-    sets = NeighborSets({u: uniform[2 + 3 * (u % 2)].sets.la(u) for u in inst.customers}, 5)
+    sets = build_la_neighbors(inst, 5, cm)
     table = compute_component_paths(inst, sets, cm)
     for u in inst.customers:
-        ref = uniform[2 + 3 * (u % 2)]
-        for name in ("_pos", "_seg_cost", "_seg_next", "_head_cost", "_head_first",
-                     "_subset_indicator", "_sub_id", "_sub_zd", "_sub_local", "_targets",
-                     "_arc_cost", "_arc_wstar"):
-            got, want = getattr(table, name)[u], getattr(ref, name)[u]
-            if isinstance(want, list):  # DP layers, one per subset size
-                assert len(got) == len(want)
-            else:
-                got, want = [got], [want]
-            for g, w in zip(got, want):
-                assert g.dtype == w.dtype and g.shape == w.shape
-                assert g.tobytes() == w.tobytes()
-        assert table._size_start[u] == ref._size_start[u]
         assert np.shares_memory(table._arc_cost[u], table._arc_cells)
     cells = np.concatenate([table._arc_cost[u].ravel() for u in inst.customers])
     assert table._arc_cells.tobytes() == cells.tobytes()
@@ -355,6 +338,11 @@ def test_mixed_la_sizes_match_uniform_tables():
            for u in inst.customers]
     want = np.concatenate([table._arc_cost[u][f] for u, f in zip(inst.customers, fit)])
     assert index._flat_cost.tobytes() == want.tobytes()
+    # la sets of different sizes are refused
+    small = build_la_neighbors(inst, 2, cm)
+    mixed = NeighborSets({u: (small if u % 2 else sets).la(u) for u in inst.customers})
+    with pytest.raises(LaSizeError):
+        compute_component_paths(inst, mixed, cm)
 
 
 def test_la_size_guard():

@@ -151,6 +151,35 @@ def test_speedup_refuses_non_optimal_run(tmp_path, capsys):
     assert not (tmp_path / "speedup.csv").exists()
 
 
+@pytest.mark.parametrize("field, value", [("total_secs", None), ("pricing_secs", "abc")])
+def test_speedup_malformed_summary_exit_2(tmp_path, capsys, field, value):
+    # a summary without a time column, or with a time that is not a number
+    header = ["instance", "arm", "status", "total_secs", "pricing_secs"]
+    row = ["x", "la0", "optimal", "4.0", "3.0"]
+    at = header.index(field)
+    if value is None:
+        del header[at], row[at]
+    else:
+        row[at] = value
+    path = tmp_path / "summary_x_la0.csv"
+    path.write_text(",".join(header) + "\n" + ",".join(row) + "\n")
+    assert main(["speedup", "--dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
+
+
+@pytest.mark.parametrize("limit", ["nan", "-5"])
+def test_solve_rejects_invalid_time_limit(tmp_path, capsys, limit):
+    ipath = tmp_path / "tiny.txt"
+    write_instance(generate_instance(4, 7, 4, "unit"), ipath)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--instance", str(ipath), "--time-limit", limit,
+              "--out", str(tmp_path / "r")])
+    assert exc.value.code == 2
+    assert "--time-limit" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_solve_exit_code_time_limit(tmp_path, capsys):
     inst = generate_instance(4, 7, 4, "unit")
     ipath = tmp_path / "tiny.txt"

@@ -66,14 +66,6 @@ def test_trace_invariants():
         assert r.lagrangian_bound <= res.objective + 1e-6
 
 
-def test_single_column_mode():
-    inst = generate_instance(35, 7, 4, "unit")
-    a = solve(inst, CgConfig(la_k=2))
-    b = solve(inst, CgConfig(la_k=2, single_column=True))
-    assert a.objective == pytest.approx(b.objective, abs=1e-6)
-    assert all(r.columns_added <= 1 for r in b.trace.rows)
-
-
 def test_early_exit_mode_reaches_same_optimum():
     inst = generate_instance(36, 7, 5, "unit")
     a = solve(inst, CgConfig(la_k=2))

@@ -185,21 +185,9 @@ def test_select_cycle_min_nodes_prefers_small_ng():
     g_first = (inst.capacity - inst.demand[2] + 1) * (1 << 4)
     g_second = (inst.capacity - inst.demand[3] + 1) * (1 << 0)
     assert g_second < g_first
-    c = select_cycle(r, sets, inst, rule="min_nodes_added")
+    c = select_cycle(r, sets, inst)
     assert (c.start, c.end, c.customer) == (4, 6, 4)
     assert c.augment == (3,)
-    # the shortest-cycle rule ties on length and falls back to earliest start
-    c2 = select_cycle(r, sets, inst, rule="shortest_cycle")
-    assert (c2.start, c2.end, c2.customer) == (1, 3, 1)
-    assert c2.augment == (2,)
-
-
-def test_select_cycle_shortest_rule():
-    inst, cm, sets, table = _setup(56, 6, 9, 0)
-    # one repeat with two specials inside, one with one special inside
-    r = make_route([1, 2, 3, 1, 5, 6, 5], inst)
-    c = select_cycle(r, sets, inst, rule="shortest_cycle")
-    assert (c.start, c.end, c.customer) == (5, 7, 5)
 
 
 def test_augmentation_forbids_returned_route():
