@@ -8,6 +8,7 @@ minutes-long benchmark.
 """
 
 import hashlib
+import random
 
 import numpy as np
 import pytest
@@ -17,9 +18,10 @@ from lacg.arcs import ArcIndex, compute_component_paths
 from lacg.driver import CgConfig, solve
 from lacg.dssr import price_elementary
 from lacg.instances import END_DEPOT, cost_matrix, generate_instance
-from lacg.neighbors import bit, build_la_neighbors
+from lacg.neighbors import augment_ng, bit, build_la_neighbors
 from lacg.pricing import _SINK_KEY, _SOURCE_KEY, _best_first, compute_heuristic, solve_la_pricing
 from lacg.rmp import initial_columns, solve_rmp
+from lacg.routes import DualSolution
 
 # la_k -> (objective, (CG iterations, DSSR iterations, nodes expanded,
 # final columns)), recorded before label-indexed distances replaced the
@@ -262,3 +264,74 @@ def test_decode_rows_match_traversed_edges():
         assert arc.start == u
         assert not any(m1 & bit(w) for w in arc.intermediates)
     assert grown > 0 and sinks > 0
+
+
+def _reference_searches(inst, sets, table, index, duals_list):
+    """(mode, route, rc as hex, nodes, edges) of a search without a heuristic,
+    one with the heuristic and a bellman_ford search per dual vector, all on
+    one index, so the no-heuristic search runs both on fresh buckets and on
+    buckets warmed by a heuristic search."""
+    out = []
+    for duals in duals_list:
+        h = compute_heuristic(inst, sets, table, duals, index=index)
+        for mode, heuristic in (("dijkstra", None), ("dijkstra", h), ("bellman_ford", None)):
+            res = solve_la_pricing(inst, sets, table, duals, mode, index=index,
+                                   heuristic=heuristic)
+            d = res.diagnostics
+            out.append((mode, heuristic is not None, res.route.seq,
+                        float(res.reduced_cost).hex(), d.nodes_expanded, d.edges_relaxed))
+    return out
+
+
+def _grown_reference(la_k):
+    inst, sets, table, index, duals, res = _grown(la_k)
+    scaled = DualSolution(pi={u: 1.1 * p for u, p in duals.pi.items()}, pi0=duals.pi0)
+    return _reference_searches(inst, sets, table, index, [duals, scaled])
+
+
+def _seeded_reference(seed, n, cap, mode, la_k):
+    """Random duals on a small instance whose ng sets were grown by hand."""
+    rnd = random.Random(seed)
+    inst = generate_instance(seed, n, cap, mode)
+    costs = cost_matrix(inst)
+    sets = build_la_neighbors(inst, la_k, costs)
+    for u in inst.customers:
+        for v in inst.customers:
+            if u != v and rnd.random() < 0.3:
+                augment_ng(sets, u, v)
+    table = compute_component_paths(inst, sets, costs)
+    index = ArcIndex(table, sets, inst.capacity)
+    duals_list = [
+        DualSolution(pi={u: rnd.uniform(0, 2.5) * costs.cost(-1, u) for u in inst.customers},
+                     pi0=rnd.uniform(0, 50))
+        for _ in range(4)
+    ]
+    return _reference_searches(inst, sets, table, index, duals_list)
+
+
+# case -> sha256 of the repr of _reference_searches' list: pins the route,
+# the reduced cost's bits and the counts of the searches without a heuristic
+# and of bellman_ford, which the pinned solves never run
+REFERENCE_DIGESTS = {
+    ("grown", 0):
+        "6954e726b3fb739ba8ef87c5ea982eed991df3e86331881bde63857bd7023505",
+    ("grown", 10):
+        "48bf19ff24bf633dcffeefb560ff86e81250a3c5feaf2552f17e19b0eb6ee8e4",
+    ("seeded", 22, 7, 5, "unit", 3):
+        "21f677e429c8dd7adda7266c6819929ac4e70c5165def6adaaefe6d0e8d9f7ca",
+    ("seeded", 27, 6, 12, "uniform_1_10", 2):
+        "b7c54229021dcdf68b71b951c98d6c7337c3c7a7f9ed9f5314de34c9db5d0fc6",
+    ("seeded", 28, 8, 10, "uniform_1_10", 3):
+        "c06a3854ae4f4c3fdeef3de3b244ac1b8bf1a9a9179424e809d280af3a2840f6",
+    ("seeded", 31, 10, 20, "uniform_1_10", 4):
+        "998cc8fc2731cf077f6c1c910dfadc8cc4e95dbce45f3f059d861df70dbea47e",
+    ("seeded", 41, 12, 6, "unit", 5):
+        "4592518a28c0f551308550ec591d70df26033745346d0b7cf23470f2a8469f6f",
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_DIGESTS, key=repr),
+                         ids=lambda c: "-".join(map(str, c)))
+def test_reference_searches_pinned(case):
+    calls = _grown_reference(*case[1:]) if case[0] == "grown" else _seeded_reference(*case[1:])
+    assert hashlib.sha256(repr(calls).encode()).hexdigest() == REFERENCE_DIGESTS[case]
