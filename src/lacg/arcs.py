@@ -513,35 +513,22 @@ class _OwnerRows(NamedTuple):
     targets: dict
 
 
-class _Group:
-    """Minimum reduced cost per (carried memory, demand) toward one target.
-
-    `rows` holds the same entries laid out for the search, one tuple each and
-    sorted by lo: (lo, hi, v, label, v * stride - zd, label * stride - zd,
-    -zd, cost) with stride = d0 + 1.  An entry fits remaining capacity d iff lo <= d <= hi,
-    that is when the landing capacity d - zd covers v's demand and stays
-    under the carried memory's capacity ceiling; adding d to the two stride
-    terms gives the flat (v, d2) and (label, d2) indices.
-    """
-
-    __slots__ = ("m2s", "zds", "costs", "caps", "rows")
-
-    def __init__(self, m2s, zds, costs, caps, rows):
-        self.m2s = m2s        # carried-memory masks
-        self.zds = zds        # arc demands
-        self.costs = costs    # group-minimum reduced costs
-        self.caps = caps      # capacity ceiling of the reached node
-        self.rows = rows
-
-
 class _Bucket:
     """Successor view from pricing nodes (u, M1, *): dense weights for
     targets with empty ng sets, per-(M2, demand) groups for the rest, and a
     prefix-minimum over sink arcs indexed by remaining capacity.
 
+    A group holds the minimum reduced cost per (carried memory M2, demand
+    zd) toward one target v, as a list of entries sorted by lo:
+    (lo, hi, v, label, v * stride - zd, label * stride - zd, -zd, cost) with
+    stride = d0 + 1 and label the id of (v, M2).  An entry fits remaining
+    capacity d iff lo <= d <= hi, that is when the landing capacity d - zd
+    covers v's demand and stays under M2's capacity ceiling; adding d to
+    the two stride terms gives the flat (v, d2) and (label, d2) indices.
+
     `blocks[d]` caches, for the best-first search, the flattened dense block
     toward customers from nodes (u, M1, d) and the same block plus the
-    heuristic at each landing node; it is valid for the index's heuristic
+    potential at each landing node; it is valid for the index's potential
     table and is dropped only when a finite dense row turns +inf.  rows()
     caches every group entry in one list sorted by lo, so a scan stops at
     the first entry whose lo exceeds d."""
@@ -550,7 +537,7 @@ class _Bucket:
 
     def __init__(self, dense, dirty, sink_pref):
         self.dense = dense          # (n+1, d0+1) min reduced cost, +inf if none
-        self.dirty = dirty          # v -> _Group
+        self.dirty = dirty          # v -> group: its lo-sorted entries
         self.sink_pref = sink_pref  # d -> min reduced cost over sink arcs zd<=d
         self.sink = sink_pref.tolist()  # the same as Python floats
         self.pending: set[int] = set()  # targets whose groups need a rebuild
@@ -559,18 +546,18 @@ class _Bucket:
 
     def dense_block(self, d: int, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(T, A) from nodes (u, M1, d), cached: A[i * d + j] is the weight
-        toward customer i + 1 with demand j + 1, and T adds h[i + 1] at the
-        landing capacity d - j - 1."""
+        toward customer i + 1 with demand j + 1, and T adds the potential
+        h[i + 1] at the landing capacity d - j - 1."""
         a = self.dense[1:, 1:d + 1]
         got = self.blocks[d] = ((a + h[1:, d - 1::-1]).ravel(), a.ravel())
         return got
 
     def rows(self) -> list[tuple]:
-        """Every grown-ng entry of the bucket as _Group.rows tuples sorted by
-        lo; from nodes (u, M1, d) the entries with lo <= d <= hi fit."""
+        """Every grown-ng entry of the bucket's groups, sorted by lo; from
+        nodes (u, M1, d) the entries with lo <= d <= hi fit."""
         rows = self._rows
         if rows is None:
-            rows = self._rows = list(chain.from_iterable(g.rows for g in self.dirty.values()))
+            rows = self._rows = list(chain.from_iterable(self.dirty.values()))
             rows.sort(key=itemgetter(0))  # merges the groups' lo-sorted runs
         return rows
 
@@ -592,7 +579,7 @@ class ArcIndex:
         self.inst = table.inst
         self._duals = None
         self._offset_rate: float | None = None
-        self._block_h = None  # heuristic table the buckets' dense blocks are for
+        self._block_h = None  # potential table the buckets' dense blocks are for
         self._flatten()
         self._buckets: dict[tuple[int, int], _Bucket] = {}
         # groups shared across buckets: M1 only acts through its overlap with
@@ -653,6 +640,8 @@ class ArcIndex:
         grp = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps - grp_off[pair_o], reps)
         tgt = np.repeat(cat(table._targets), reps)
         self._need = np.array([0] + [self.inst.demand[v] for v in owners])
+        # short[v, d]: v's demand does not fit in remaining capacity d
+        self.short = self._need[:, None] > np.arange(self.d0 + 1)
         fit = grp_zd[grp] + self._need[tgt] <= self.d0
         self._flat_cost = table._arc_cells[np.repeat(fit, grp_size[grp])]
         keep = np.flatnonzero(fit)
@@ -754,7 +743,7 @@ class ArcIndex:
     # -- successor buckets ---------------------------------------------------
 
     def use_heuristic(self, h: np.ndarray) -> None:
-        """Make the buckets' dense blocks those of heuristic table h."""
+        """Make the buckets' dense blocks those of potential table h."""
         if h is not self._block_h:
             for bucket in self._buckets.values():
                 bucket.blocks.clear()
@@ -805,7 +794,7 @@ class ArcIndex:
         dense = core.copy()
         for v in ids_of(m1):
             dense[v, :] = np.inf  # edges may not revisit remembered customers
-        dirty: dict[int, dict[tuple[int, int], float]] = {}
+        dirty: dict[int, list[tuple]] = {}
         for v in self._dirty_for(u, m1):
             dense[v, :] = np.inf
             self._group_dirty(u, m1, v, dirty)
@@ -813,8 +802,7 @@ class ArcIndex:
 
     def _group_dirty(self, u: int, m1: int, v: int, dirty: dict) -> None:
         own = self._rows(u)
-        bounds = own.targets.get(v)
-        if bounds is None or (m1 >> (v - 1)) & 1:
+        if v not in own.targets or (m1 >> (v - 1)) & 1:
             dirty.pop(v, None)
             return
         ng_v = self.sets.ng_mask(v)
@@ -823,17 +811,11 @@ class ArcIndex:
         if cached is not None:
             dirty[v] = cached
             return
-        table = self.table
-        a, b, _ = bounds
-        local_v = own.local[a:b]
-        cbar_v = self._cbar[u][a:b]
-        zd_v = own.zd[a:b]
-        if m1:
-            keep = (local_v & np.uint32(table.to_local(u, m1))) == 0
-            local_v, cbar_v, zd_v = local_v[keep], cbar_v[keep], zd_v[keep]
-        if len(cbar_v) == 0:
-            dirty[v] = self._make_group(v, [], [], [])
+        rows, _ = self._candidate_rows(u, v, m1)
+        if not len(rows):
+            dirty[v] = []
             return
+        local_v, cbar_v, zd_v = own.local[rows], self._cbar[u][rows], own.zd[rows]
         outside, m2s = self._memories(u, m1, ng_v, local_v)
         # group-minimum over (m2, zd) without python loops
         order = np.lexsort((cbar_v, zd_v, m2s))
@@ -842,7 +824,7 @@ class ArcIndex:
             np.concatenate(([True], (m2o[1:] != m2o[:-1]) | (zdo[1:] != zdo[:-1])))
         )
         group = self._make_group(
-            v, [outside | table.to_global(u, m) for m in m2o[firsts].tolist()],
+            v, [outside | self.table.to_global(u, m) for m in m2o[firsts].tolist()],
             zdo[firsts].tolist(), cbo[firsts].tolist(),
         )
         self._groups[gkey] = group
@@ -861,18 +843,17 @@ class ArcIndex:
         image = np.uint32(to_local(u, fixed)) | (np.uint32(to_local(u, ng_v)) & local)
         return fixed & ~self.sets.la_mask(u), image
 
-    def _make_group(self, v: int, m2s: list, zds: list, costs: list) -> _Group:
+    def _make_group(self, v: int, m2s: list, zds: list, costs: list) -> list[tuple]:
         md = self.table.mask_demand
-        caps = [self.d0 - md(m) for m in m2s]
         dv = self.inst.demand[v]
         stride = self.d0 + 1
         rows = []
-        for m2, zd, cap, w in zip(m2s, zds, caps, costs):
+        for m2, zd, w in zip(m2s, zds, costs):
             lab = self._label(v, m2)
-            rows.append((zd + dv, zd + cap, v, lab, v * stride - zd, lab * stride - zd,
-                         -zd, w))
+            rows.append((zd + dv, zd + self.d0 - md(m2), v, lab, v * stride - zd,
+                         lab * stride - zd, -zd, w))
         rows.sort(key=itemgetter(0))  # so that merging a bucket's groups is cheap
-        return _Group(m2s, zds, costs, caps, rows)
+        return rows
 
     def invalidate(self, grown, added: int) -> None:
         """Drop cached entries whose start or end customer had its ng set grown.
@@ -925,8 +906,6 @@ class ArcIndex:
         table = self.table
         own = self._rows(u)
         rows, shift = self._candidate_rows(u, v, m1)
-        if not len(rows):
-            raise RuntimeError("no arc matches a traversed edge")
         lo, hi = np.searchsorted(own.zd[rows], (zd, zd + 1))
         rows = rows[lo:hi]
         ng_v = self.sets.ng_mask(v)
@@ -941,8 +920,6 @@ class ArcIndex:
     def best_sink_arc(self, u: int, m1: int, d: int) -> int:
         """Table row of the cheapest sink arc from (u, M1, d)."""
         rows, shift = self._candidate_rows(u, _SINK, m1)
-        if not len(rows):
-            raise RuntimeError("no sink arc fits the remaining capacity")
         rows = rows[: np.searchsorted(self._rows(u).zd[rows], d + 1)]
         if not len(rows):
             raise RuntimeError("no sink arc fits the remaining capacity")

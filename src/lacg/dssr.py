@@ -123,6 +123,12 @@ def price_elementary(inst: Instance, sets: NeighborSets, table: ComponentPathTab
             log=log, nodes_expanded=total_nodes, edges_relaxed=total_edges,
         )
 
+    def record(objective, seq, cycle=None):
+        log.append(DssrIteration(
+            objective=objective, seq=seq, elementary=cycle is None, cycle=cycle,
+            ng_total=sets.ng_size_total(), nodes_expanded=res.diagnostics.nodes_expanded,
+        ))
+
     for it in range(1, limit + 1):
         res = solve_la_pricing(
             inst, sets, table, duals, index=index, heuristic=heuristic, prune_bound=best_rc,
@@ -136,18 +142,10 @@ def price_elementary(inst: Instance, sets: NeighborSets, table: ComponentPathTab
         if best_elem is not None and res.reduced_cost >= best_rc - 1e-12:
             # nothing in the current relaxation beats a route that is already
             # elementary and graph-feasible: it is the exact minimizer
-            log.append(DssrIteration(
-                objective=best_rc, seq=best_elem.seq, elementary=True,
-                cycle=None, ng_total=sets.ng_size_total(),
-                nodes_expanded=res.diagnostics.nodes_expanded,
-            ))
+            record(best_rc, best_elem.seq)
             return result(best_elem, best_rc, True)
         if is_elementary(route):
-            log.append(DssrIteration(
-                objective=res.reduced_cost, seq=route.seq, elementary=True,
-                cycle=None, ng_total=sets.ng_size_total(),
-                nodes_expanded=res.diagnostics.nodes_expanded,
-            ))
+            record(res.reduced_cost, route.seq)
             return result(route, res.reduced_cost, True)
         trimmed = trim_to_elementary(route, inst)
         rc_trim = reduced_cost(trimmed, duals, costs)
@@ -157,11 +155,7 @@ def price_elementary(inst: Instance, sets: NeighborSets, table: ComponentPathTab
             early_seen.add(trimmed.seq)
             early.append((trimmed, rc_trim))
         choice = select_cycle(route, sets, inst)
-        log.append(DssrIteration(
-            objective=res.reduced_cost, seq=route.seq, elementary=False,
-            cycle=choice, ng_total=sets.ng_size_total(),
-            nodes_expanded=res.diagnostics.nodes_expanded,
-        ))
+        record(res.reduced_cost, route.seq, choice)
         if early_exit == "first_negative" and rc_trim < -RC_ADD_TOL:
             return result(trimmed, rc_trim, False)
         if deadline is not None and time.perf_counter() >= deadline:

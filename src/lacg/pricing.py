@@ -9,10 +9,12 @@ capacity; edges consume one precomputed arc each and land on
 Both solvers return the same objective:
 
 * dijkstra: best-first search.  Priorities are raw costs shifted by a
-  potential; with no heuristic table the potential is -offset_rate * d
-  (the demand-proportional offset that makes every edge nonnegative),
-  with one it is the exact cost-to-sink on the empty-memory graph, which
-  stays a consistent lower bound as ng sets grow.
+  potential table over (customer, capacity), +inf where the customer's
+  demand does not fit: the heuristic, the exact cost-to-sink on the
+  empty-memory graph, which stays a consistent lower bound as ng sets
+  grow, or without one the offset table -offset_rate * d (the
+  demand-proportional offset that makes every edge nonnegative, as node
+  potentials).  Both run the same search loop.
 * bellman_ford: relax every node of the current graph in decreasing-capacity
   order.  Slower, used as a cross-check.
 
@@ -23,17 +25,16 @@ The best-first search keeps its distances in an array indexed by label and
 capacity: a label is a (customer, memory) pair interned by the ArcIndex,
 with (v, 0) as label v, and the sink has a scalar of its own.  What a
 pricing call fixes is computed once per call, not per search or node: the
-source edges and their out-and-back incumbent (at bind_duals), and, with a
-heuristic table, each bucket's dense block per capacity d, the flattened
-weights toward customers with empty ng sets and the same plus the heuristic
-at the landing node.  A block lives on its bucket across DSSR iterations
-until invalidation turns one of its finite rows +inf, so an expansion does
-one comparison against the bound, one nonzero and scalar reads.  Edges
-toward targets with grown ng sets take one scalar loop over the bucket's
-entries sorted by their least fitting capacity lo, which stops at the first
-entry with lo > d.  Searches without a heuristic build their blocks afresh
-and never read the cache.  bellman_ford keeps tuple-keyed
-dicts as the plain reference.
+source edges and their out-and-back incumbent (at bind_duals), and each
+bucket's dense block per capacity d, the flattened weights toward customers
+with empty ng sets and the same plus the potential at the landing node.  A
+block lives on its bucket across DSSR iterations, for as long as the index
+holds the same potential table, until invalidation turns one of its finite
+rows +inf, so an expansion does one comparison against the bound, one
+nonzero and scalar reads.  Edges toward targets with grown ng sets take one
+scalar loop over the bucket's entries sorted by their least fitting
+capacity lo, which stops at the first entry with lo > d.  bellman_ford
+keeps tuple-keyed dicts as the plain reference and reads the same entries.
 """
 
 from __future__ import annotations
@@ -83,8 +84,7 @@ def compute_heuristic(inst: Instance, sets: NeighborSets, table: ComponentPathTa
     n, d0 = inst.n, inst.capacity
     dense = index._base_dense[1:, 1:]  # group minima over all arcs: the empty-memory view
     sink = index._base_sink[1:]
-    # short[u - 1, d]: u's demand does not fit in remaining capacity d
-    short = np.array([inst.demand[u] for u in inst.customers])[:, None] > np.arange(d0 + 1)
+    short = index.short[1:]
     h = np.full((n + 1, d0 + 1), np.inf)
     for d in range(1, d0 + 1):
         # best first arc (u -> v with demand zd) plus h[v, d - zd], per owner u
@@ -113,6 +113,10 @@ def solve_la_pricing(inst: Instance, sets: NeighborSets, table: ComponentPathTab
     index = index or ArcIndex(table, sets, inst.capacity)
     index.bind_duals(duals)
     if mode == "dijkstra":
+        if heuristic is None:
+            # the demand offset as a potential: -offset_rate * d where v fits
+            heuristic = np.where(index.short, np.inf,
+                                 -index.offset_rate() * np.arange(inst.capacity + 1))
         g, parent, diag = _best_first(inst, index, heuristic, prune_bound, deadline)
         if g is None:
             return PricingResult(route=None, reduced_cost=np.nan, diagnostics=diag)
@@ -125,19 +129,11 @@ def solve_la_pricing(inst: Instance, sets: NeighborSets, table: ComponentPathTab
     return PricingResult(route=route, reduced_cost=g, diagnostics=diag)
 
 
-def _best_first(inst, index, heuristic, prune_bound=np.inf, deadline=None):
-    n, d0 = inst.n, inst.capacity
+def _best_first(inst, index, pot, prune_bound=np.inf, deadline=None):
+    d0 = inst.capacity
     stride = d0 + 1
-    offr = index.offset_rate()
-    use_h = heuristic is not None
-    if use_h:
-        pot = heuristic.ravel()
-        index.use_heuristic(heuristic)
-    else:
-        pot = np.tile(-offr * np.arange(stride), n + 1)
-        dem = np.array([0] + [inst.demand[u] for u in inst.customers])
-        zd_cols = np.arange(d0 + 1)
-    pot_l = pot.tolist()  # potential of (v, d2) at flat index v * stride + d2
+    index.use_heuristic(pot)
+    pot_l = pot.ravel().tolist()  # potential of (v, d2) at flat index v * stride + d2
 
     # distances of label (v, M2) at capacity d live at flat index
     # label * stride + d; rows are added as groups intern new labels
@@ -199,17 +195,10 @@ def _best_first(inst, index, heuristic, prune_bound=np.inf, deadline=None):
                 heapq.heappush(heap, (g2, 0, _SINK, 0, g2, _SINK))
         # dense targets (empty ng sets, so M2 = 0)
         if d >= 2:
-            if use_h:
-                # rows for capacities below a customer's demand are +inf in the
-                # heuristic, so infeasible candidates drop out of the comparison
-                # for free
-                block = bucket.blocks.get(d)
-                T, A = block if block is not None else bucket.dense_block(d, heuristic)
-            else:
-                A = bucket.dense[1:, 1:d + 1]
-                d2row = (d - zd_cols[1:d + 1])[None, :]
-                T = np.where(d2row >= dem[1:, None], A - offr * d2row, np.inf).ravel()
-                A = A.ravel()
+            # the potential is +inf at capacities below a customer's demand,
+            # so infeasible candidates drop out of the comparison for free
+            block = bucket.blocks.get(d)
+            T, A = block if block is not None else bucket.dense_block(d, pot)
             for cell in (T < bound - g).nonzero()[0].tolist():
                 i, j = divmod(cell, d)
                 v = i + 1
@@ -241,7 +230,8 @@ def _best_first(inst, index, heuristic, prune_bound=np.inf, deadline=None):
                 parent[(v, m2, d2)] = key
                 heapq.heappush(heap, (f2, d2, v, m2, g2, lab2))
     diag = PricingDiagnostics(
-        nodes_expanded=nodes, edges_relaxed=edges, offset_rate=offr, adjusted_cost=np.nan,
+        nodes_expanded=nodes, edges_relaxed=edges, offset_rate=index.offset_rate(),
+        adjusted_cost=np.nan,
     )
     return sink_g, parent, diag
 
@@ -249,6 +239,7 @@ def _best_first(inst, index, heuristic, prune_bound=np.inf, deadline=None):
 def _relax_all(inst, index):
     d0 = inst.capacity
     dem = inst.demand
+    labels = index.label_keys
     dist: dict[tuple, float] = {}
     parent: dict[tuple, tuple | None] = {}
     by_d: dict[int, set] = {d: set() for d in range(d0 + 1)}
@@ -286,14 +277,14 @@ def _relax_all(inst, index):
                     dist[k2] = g2
                     parent[k2] = key
                     by_d[d2].add((v, 0))
-            for v, group in bucket.dirty.items():
-                dv = dem[v]
-                for m2, zd, w, capfloor in zip(group.m2s, group.zds, group.costs, group.caps):
-                    d2 = d - zd
-                    if d2 < dv or d2 > capfloor:
+            for group in bucket.dirty.values():
+                for lo, hi, v, lab, _, _, neg_zd, w in group:
+                    if not lo <= d <= hi:
                         continue
                     edges += 1
                     g2 = g + w
+                    d2 = d + neg_zd
+                    m2 = labels[lab][1]
                     k2 = (v, m2, d2)
                     if g2 < dist.get(k2, np.inf):
                         dist[k2] = g2

@@ -196,9 +196,9 @@ def test_criterion_04_dijkstra_offset_equals_bellman_ford():
                 for d in range(1, inst.capacity + 1):
                     if np.isfinite(bck.sink_pref[d]):
                         min_edge = min(min_edge, float(bck.sink_pref[d] + rate * d))
-                for v, grp in bck.dirty.items():
-                    for zd, w in zip(grp.zds, grp.costs):
-                        min_edge = min(min_edge, w + rate * zd)
+                for grp in bck.dirty.values():
+                    for *_, neg_zd, w in grp:
+                        min_edge = min(min_edge, w + rate * -neg_zd)
         worst_edge = min(worst_edge, min_edge)
     ok = worst_obj <= 1e-9 and worst_edge >= -1e-9 and worst_shift <= 1e-9
     _report(4, ok,

@@ -475,8 +475,9 @@ def test_invalidate_identity_and_equivalence():
         assert np.array_equal(a.sink_pref, b.sink_pref)
         assert set(a.dirty) == set(b.dirty)
         for v in a.dirty:
-            assert sorted(zip(a.dirty[v].m2s, a.dirty[v].zds, a.dirty[v].costs)) == \
-                sorted(zip(b.dirty[v].m2s, b.dirty[v].zds, b.dirty[v].costs))
+            # (M2, zd, cost) per entry; label ids differ between the indexes
+            assert sorted((index.label_keys[e[3]][1], -e[6], e[7]) for e in a.dirty[v]) == \
+                sorted((fresh.label_keys[e[3]][1], -e[6], e[7]) for e in b.dirty[v])
     # empty invalidation is a no-op
     snapshot = dict(index._buckets)
     index.invalidate(set(), 5)

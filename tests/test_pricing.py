@@ -102,9 +102,9 @@ def test_post_offset_weights_nonnegative():
                 for d in range(1, inst.capacity + 1):
                     if np.isfinite(b.sink_pref[d]):
                         assert b.sink_pref[d] + rate * d >= -1e-9
-                for v, grp in b.dirty.items():
-                    for zd, w in zip(grp.zds, grp.costs):
-                        assert w + rate * zd >= -1e-9
+                for grp in b.dirty.values():
+                    for *_, neg_zd, w in grp:
+                        assert w + rate * -neg_zd >= -1e-9
 
 
 def test_zero_duals_single_customer_route():

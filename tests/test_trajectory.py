@@ -167,7 +167,9 @@ def test_bucket_rows_match_group_filter(la_k):
         for d in range(stride):
             want = set()
             for v, grp in bucket.dirty.items():
-                for m2, zd, w, cap in zip(grp.m2s, grp.zds, grp.costs, grp.caps):
+                for _, _, _, lab, _, _, neg_zd, w in grp:
+                    m2, zd = index.label_keys[lab][1], -neg_zd
+                    cap = inst.capacity - table.mask_demand(m2)
                     if inst.demand[v] <= d - zd <= cap:
                         want.add((v, index.label_keys.index((v, m2)), d - zd, w))
             got = [(v, lab, nz + d, w) for lo, hi, v, lab, v_at, lab_at, nz, w in rows
