@@ -151,17 +151,31 @@ def cmd_solve(args) -> int:
     return SOLVE_EXIT[res.status]
 
 
+def _positive_secs(text: str) -> float:
+    secs = float(text)
+    if not 0 < secs < float("inf"):  # NaN compares false
+        raise ValueError(f"need a positive finite time, not {text!r}")
+    return secs
+
+
 def _read_summaries(dirpath: Path) -> dict[tuple[str, str], dict] | None:
-    """Runs by (instance, arm); None, after an error line, if a file is malformed."""
+    """Runs by (instance, arm); None, after an error line, if a file is
+    malformed or a run appears twice."""
     runs = {}
     for path in sorted(dirpath.glob("summary_*.csv")):
         with open(path, newline="", encoding="utf-8") as f:
             try:
                 for row in csv.DictReader(f):
-                    runs[(row["instance"], row["arm"])] = {
+                    key = (row["instance"], row["arm"])
+                    if key in runs:
+                        print(f"error: {runs[key]['path']} and {path} both hold the {key[1]} "
+                              f"run for {key[0]}", file=sys.stderr)
+                        return None
+                    runs[key] = {
                         "status": row["status"],
-                        "total": float(row["total_secs"]),
-                        "pricing": float(row["pricing_secs"]),
+                        "total": _positive_secs(row["total_secs"]),
+                        "pricing": _positive_secs(row["pricing_secs"]),
+                        "path": path,
                     }
             except (KeyError, TypeError, ValueError) as exc:  # a missing column or a bad time
                 print(f"error: malformed summary {path}: {exc!r}", file=sys.stderr)
@@ -196,8 +210,8 @@ def cmd_speedup(args) -> int:
             if run is None:
                 print(f"error: missing {arm} run for {name}", file=sys.stderr)
                 return 2
-            ft = base["total"] / run["total"] if run["total"] > 0 else float("inf")
-            fp = base["pricing"] / run["pricing"] if run["pricing"] > 0 else float("inf")
+            ft = base["total"] / run["total"]
+            fp = base["pricing"] / run["pricing"]
             per_rows.append((name, arm, ft, fp))
             if base["total"] >= args.min_baseline_secs:
                 eligible[arm].append((ft, fp))
@@ -285,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     u = sub.add_parser("speedup", parents=[common],
                        help="factor speed-ups versus the la0 baseline")
     u.add_argument("--dir", required=True)
-    u.add_argument("--min-baseline-secs", type=float, default=5.0)
+    u.add_argument("--min-baseline-secs", type=_seconds, default=5.0)
     u.set_defaults(func=cmd_speedup)
 
     o = sub.add_parser("oracle-suite", parents=[common],

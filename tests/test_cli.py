@@ -151,9 +151,13 @@ def test_speedup_refuses_non_optimal_run(tmp_path, capsys):
     assert not (tmp_path / "speedup.csv").exists()
 
 
-@pytest.mark.parametrize("field, value", [("total_secs", None), ("pricing_secs", "abc")])
+@pytest.mark.parametrize("field, value", [
+    ("total_secs", None), ("pricing_secs", "abc"), ("total_secs", "nan"), ("total_secs", "0"),
+    ("pricing_secs", "-1.0"), ("pricing_secs", "inf"),
+])
 def test_speedup_malformed_summary_exit_2(tmp_path, capsys, field, value):
-    # a summary without a time column, or with a time that is not a number
+    # a summary without a time column, or with a time that is not a
+    # positive finite number: a speed-up factor over it means nothing
     header = ["instance", "arm", "status", "total_secs", "pricing_secs"]
     row = ["x", "la0", "optimal", "4.0", "3.0"]
     at = header.index(field)
@@ -290,3 +294,23 @@ def test_log_level_debug_logs_each_iteration(tmp_path):
         err[level] = proc.stderr
     assert "DEBUG lacg.driver: iteration 1: rmp objective" in err["debug"]
     assert err["warning"] == ""
+
+
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_speedup_rejects_invalid_min_baseline(tmp_path, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["speedup", "--dir", str(tmp_path), "--min-baseline-secs", value])
+    assert exc.value.code == 2
+
+
+def test_speedup_rejects_duplicate_run(tmp_path, capsys):
+    # two files holding one (instance, arm) run: neither may win silently
+    header = "instance,arm,status,total_secs,pricing_secs\n"
+    (tmp_path / "summary_x_la0.csv").write_text(header + "x,la0,optimal,8.0,6.0\n")
+    (tmp_path / "summary_x_la0_rerun.csv").write_text(header + "x,la0,optimal,1.0,0.5\n")
+    (tmp_path / "summary_x_la10.csv").write_text(header + "x,la10,optimal,2.0,1.0\n")
+    assert main(["speedup", "--dir", str(tmp_path), "--min-baseline-secs", "0"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "summary_x_la0.csv" in err[0] and "summary_x_la0_rerun.csv" in err[0]
+    assert not (tmp_path / "speedup.csv").exists()
