@@ -579,7 +579,7 @@ class ArcIndex:
         self.inst = table.inst
         self._duals = None
         self._offset_rate: float | None = None
-        self._block_h = None  # potential table the buckets' dense blocks are for
+        self._block_pot = None  # potential table the buckets' dense blocks are for
         self._flatten()
         self._buckets: dict[tuple[int, int], _Bucket] = {}
         # groups shared across buckets: M1 only acts through its overlap with
@@ -727,7 +727,7 @@ class ArcIndex:
         back = self._base_sink[:, self.d0].tolist()
         self.source_seed = min(((w + back[u], u) for u, w in self.source_edges),
                                key=itemgetter(0), default=(np.inf, None))
-        self._block_h = None
+        self._block_pot = None
         self._buckets.clear()
         self._groups.clear()
         self._reset_labels()
@@ -742,12 +742,12 @@ class ArcIndex:
 
     # -- successor buckets ---------------------------------------------------
 
-    def use_heuristic(self, h: np.ndarray) -> None:
+    def use_potential(self, h: np.ndarray) -> None:
         """Make the buckets' dense blocks those of potential table h."""
-        if h is not self._block_h:
+        if h is not self._block_pot:
             for bucket in self._buckets.values():
                 bucket.blocks.clear()
-            self._block_h = h
+            self._block_pot = h
 
     def successors(self, u: int, m1: int) -> _Bucket:
         key = (u, m1)

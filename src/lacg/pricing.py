@@ -132,7 +132,7 @@ def solve_la_pricing(inst: Instance, sets: NeighborSets, table: ComponentPathTab
 def _best_first(inst, index, pot, prune_bound=np.inf, deadline=None):
     d0 = inst.capacity
     stride = d0 + 1
-    index.use_heuristic(pot)
+    index.use_potential(pot)
     pot_l = pot.ravel().tolist()  # potential of (v, d2) at flat index v * stride + d2
 
     # distances of label (v, M2) at capacity d live at flat index
